@@ -1,8 +1,11 @@
-// Detect+compile wall time of the columnar scan paths vs the row reference
-// paths on generated Food at three sizes. Both paths run the full pipeline
-// on identical data, so the bench doubles as a bit-identity cross-check of
-// the noisy set and the repairs. CI pins the columnar-vs-row speedup at the
-// largest size against the committed BENCH_ci.json ratio.
+// Wall time of the detect+compile scans — violation detection, the
+// co-occurrence statistics, and domain pruning — on the production
+// columnar paths vs the row-at-a-time references in tests/oracle/, on
+// generated Food at three sizes. Both sides scan identical data, so the
+// bench doubles as a bit-identity cross-check of the violations, the
+// noisy set, the statistics, and the candidate domains. CI pins the
+// columnar-vs-row speedup at the largest size against the committed
+// BENCH_ci.json ratio.
 
 #include <cstdio>
 #include <string>
@@ -10,65 +13,29 @@
 
 #include "common.h"
 #include "holoclean/data/food.h"
+#include "holoclean/util/timer.h"
+#include "oracle/oracle.h"
 
 using namespace holoclean;         // NOLINT
 using namespace holoclean::bench;  // NOLINT
 
 namespace {
 
-struct DetectRun {
-  bool ok = false;
+struct ScanRun {
   double detect = 0.0;
-  double compile = 0.0;
-  double detect_compile = 0.0;
-  size_t num_violations = 0;
-  size_t num_noisy = 0;
-  std::vector<Repair> repairs;
+  double compile = 0.0;  ///< Statistics + domain pruning.
+  DetectResult detected;
+  NoisyCells noisy;
+  PrunedDomains domains;
 };
-
-DetectRun RunOnce(size_t rows, uint64_t seed, bool columnar) {
-  GeneratedData data = MakeFood({rows, 0.06, seed});
-  HoloCleanConfig config;
-  config.tau = 0.5;
-  config.columnar = columnar;
-  auto session = OpenStandaloneSession(
-      CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
-  if (!session.ok()) return {};
-  auto report = session.value().Run();
-  if (!report.ok()) return {};
-  DetectRun out;
-  out.ok = true;
-  out.detect = report.value().stats.detect_seconds;
-  out.compile = report.value().stats.compile_seconds;
-  out.detect_compile = out.detect + out.compile;
-  out.num_violations = report.value().stats.num_violations;
-  out.num_noisy = report.value().stats.num_noisy_cells;
-  out.repairs = report.value().repairs;
-  return out;
-}
-
-bool SameResults(const DetectRun& a, const DetectRun& b) {
-  if (a.num_violations != b.num_violations) return false;
-  if (a.num_noisy != b.num_noisy) return false;
-  if (a.repairs.size() != b.repairs.size()) return false;
-  for (size_t i = 0; i < a.repairs.size(); ++i) {
-    const Repair& x = a.repairs[i];
-    const Repair& y = b.repairs[i];
-    if (!(x.cell == y.cell) || x.old_value != y.old_value ||
-        x.new_value != y.new_value || x.probability != y.probability) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
 int main() {
   const std::vector<std::pair<std::string, size_t>> sizes = {
       {"4k", 4000}, {"40k", 40000}, {"100k", 100000}};
-  std::printf("Detect+compile: columnar scans vs row reference "
-              "(generated Food)\n\n");
+  std::printf("Detect+compile scans (detection, statistics, pruning): "
+              "columnar vs row reference (generated Food)\n\n");
 
   std::vector<int> widths = {6, 9, 13, 13, 13, 13, 12, 9};
   PrintRule(widths);
@@ -77,50 +44,95 @@ int main() {
            widths);
   PrintRule(widths);
 
+  HoloCleanConfig config;
+  config.tau = 0.5;
+  DomainPruningOptions prune;
+  prune.tau = config.tau;
+  prune.max_candidates = config.max_candidates;
+  // The production side runs on a pool sized like a default session's.
+  ThreadPool pool(config.num_threads);
+
   double largest_speedup = 0.0;
   for (const auto& [label, nominal] : sizes) {
     size_t rows = static_cast<size_t>(static_cast<double>(nominal) *
                                       BenchScale());
     if (rows == 0) rows = 1;
-    DetectRun col = RunOnce(rows, 7, true);
-    DetectRun row = RunOnce(rows, 7, false);
-    if (!col.ok || !row.ok) {
-      std::fprintf(stderr, "run failed at %s\n", label.c_str());
-      return 1;
+    GeneratedData data = MakeFood({rows, 0.06, 7});
+    const Table& table = data.dataset.dirty();
+    const std::vector<AttrId> attrs = data.dataset.RepairableAttrs();
+
+    ScanRun col;
+    Timer timer;
+    ViolationDetector::Options options;
+    options.sim_threshold = config.sim_threshold;
+    options.pool = &pool;
+    col.detected = ViolationDetector(&table, &data.dcs, options).DetectAll();
+    col.noisy = ViolationDetector::NoisyFromViolations(col.detected.violations);
+    col.detect = timer.Seconds();
+    // The compile stage's pruning input: the noisy cells plus its
+    // evidence sample.
+    std::vector<CellRef> cells = col.noisy.cells();
+    std::vector<CellRef> evidence =
+        oracle::EvidenceSample(table, attrs, col.noisy, config);
+    cells.insert(cells.end(), evidence.begin(), evidence.end());
+    timer.Reset();
+    CooccurrenceStats cooc =
+        CooccurrenceStats::BuildColumnar(table, attrs, &pool);
+    col.domains = PruneDomainsColumnar(table, cells, attrs, cooc, prune, &pool);
+    col.compile = timer.Seconds();
+
+    ScanRun row;
+    timer.Reset();
+    row.detected =
+        oracle::DetectViolations(table, data.dcs, config.sim_threshold);
+    for (const Violation& v : row.detected.violations) {
+      for (const CellRef& c : v.cells) row.noisy.Add(c);
     }
-    if (!SameResults(col, row)) {
+    row.detect = timer.Seconds();
+    timer.Reset();
+    oracle::CooccurrenceCounts recount =
+        oracle::CountCooccurrence(table, attrs);
+    row.domains = oracle::PruneDomains(table, cells, attrs, cooc, prune);
+    row.compile = timer.Seconds();
+
+    std::string cooc_diff = oracle::DiffCooccurrence(cooc, recount, attrs);
+    if (!oracle::DiffViolations(col.detected.violations,
+                                row.detected.violations)
+             .empty() ||
+        col.detected.truncated_dcs != row.detected.truncated_dcs ||
+        col.noisy.cells() != row.noisy.cells() || !cooc_diff.empty() ||
+        !(col.domains.candidates == row.domains.candidates)) {
       std::fprintf(stderr,
-                   "columnar/row results diverge at %s "
-                   "(violations %zu vs %zu, noisy %zu vs %zu, repairs "
-                   "%zu vs %zu)\n",
-                   label.c_str(), col.num_violations, row.num_violations,
-                   col.num_noisy, row.num_noisy, col.repairs.size(),
-                   row.repairs.size());
+                   "columnar/row results diverge at %s (violations %zu vs "
+                   "%zu, noisy %zu vs %zu, candidates %zu vs %zu%s%s)\n",
+                   label.c_str(), col.detected.violations.size(),
+                   row.detected.violations.size(), col.noisy.size(),
+                   row.noisy.size(), col.domains.TotalCandidates(),
+                   row.domains.TotalCandidates(),
+                   cooc_diff.empty() ? "" : ", statistics: ",
+                   cooc_diff.c_str());
       return 1;
     }
-    double speedup =
-        col.detect_compile > 0.0 ? row.detect_compile / col.detect_compile
-                                 : 0.0;
+    const double col_total = col.detect + col.compile;
+    const double row_total = row.detect + row.compile;
+    double speedup = col_total > 0.0 ? row_total / col_total : 0.0;
     double rows_per_sec =
-        col.detect_compile > 0.0
-            ? static_cast<double>(rows) / col.detect_compile
-            : 0.0;
+        col_total > 0.0 ? static_cast<double>(rows) / col_total : 0.0;
     PrintRow({label, std::to_string(rows), Fmt(col.detect), Fmt(row.detect),
               Fmt(col.compile), Fmt(row.compile), Fmt(rows_per_sec, 0),
               Fmt(speedup, 2) + "x"},
              widths);
     AppendBenchMetric("micro_detect",
-                      "detect_compile_seconds_columnar_" + label,
-                      col.detect_compile);
+                      "detect_compile_seconds_columnar_" + label, col_total);
     AppendBenchMetric("micro_detect", "detect_compile_seconds_row_" + label,
-                      row.detect_compile);
+                      row_total);
     AppendBenchMetric("micro_detect", "rows_per_sec_columnar_" + label,
                       rows_per_sec);
     largest_speedup = speedup;
   }
   PrintRule(widths);
-  std::printf("(noisy set and repairs bit-identical across paths at every "
-              "size)\n");
+  std::printf("(violations, noisy set, statistics, and candidate domains "
+              "bit-identical across paths at every size)\n");
   AppendBenchMetric("micro_detect", "speedup_100k", largest_speedup);
   return 0;
 }

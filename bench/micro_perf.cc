@@ -1,15 +1,15 @@
 // Infrastructure micro-benchmarks (google-benchmark): throughput of the
-// hot paths that determine HoloClean's scalability — violation detection
-// (blocked vs naive), co-occurrence statistics, domain pruning, grounding,
-// SGD learning, and Gibbs sweeps (reference interpreter vs compiled
-// kernel).
+// hot paths that determine HoloClean's scalability — violation detection,
+// co-occurrence statistics, domain pruning, grounding, SGD learning, and
+// Gibbs sweeps (the FactorGraph interpreters in tests/oracle/ vs the
+// compiled kernel).
 //
 // After the registered benchmarks, main() runs the compiled-vs-reference
 // kernel comparison on the Food 4k workload (learn/infer stage wall times
-// and throughput, repairs cross-checked bit-identical) and appends the
-// numbers to the HOLOCLEAN_BENCH_JSON metrics file — CI's bench-smoke job
-// aggregates them into BENCH_ci.json. Pass --benchmark_filter='^$' to run
-// only the kernel comparison.
+// and throughput, weights and repairs cross-checked bit-identical) and
+// appends the numbers to the HOLOCLEAN_BENCH_JSON metrics file — CI's
+// bench-smoke job aggregates them into BENCH_ci.json. Pass
+// --benchmark_filter='^$' to run only the kernel comparison.
 
 #include <benchmark/benchmark.h>
 
@@ -26,6 +26,8 @@
 #include "holoclean/model/domain_pruning.h"
 #include "holoclean/model/grounding.h"
 #include "holoclean/stats/cooccurrence.h"
+#include "holoclean/util/timer.h"
+#include "oracle/oracle.h"
 
 namespace holoclean {
 namespace {
@@ -55,7 +57,7 @@ void BM_CooccurrenceBuild(benchmark::State& state) {
   std::vector<AttrId> attrs = data.dataset.RepairableAttrs();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        CooccurrenceStats::Build(data.dataset.dirty(), attrs));
+        CooccurrenceStats::BuildColumnar(data.dataset.dirty(), attrs));
   }
   state.SetItemsProcessed(state.iterations() *
                           data.dataset.dirty().num_cells());
@@ -66,16 +68,16 @@ void BM_DomainPruning(benchmark::State& state) {
   GeneratedData& data = SharedHospital();
   std::vector<AttrId> attrs = data.dataset.RepairableAttrs();
   CooccurrenceStats cooc =
-      CooccurrenceStats::Build(data.dataset.dirty(), attrs);
+      CooccurrenceStats::BuildColumnar(data.dataset.dirty(), attrs);
   ViolationDetector detector(&data.dataset.dirty(), &data.dcs);
   NoisyCells noisy =
       ViolationDetector::NoisyFromViolations(detector.Detect());
   DomainPruningOptions options;
   options.tau = static_cast<double>(state.range(0)) / 10.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PruneDomains(data.dataset.dirty(),
-                                          noisy.cells(), attrs, cooc,
-                                          options));
+    benchmark::DoNotOptimize(PruneDomainsColumnar(data.dataset.dirty(),
+                                                  noisy.cells(), attrs, cooc,
+                                                  options));
   }
   state.SetItemsProcessed(state.iterations() * noisy.size());
 }
@@ -85,7 +87,7 @@ struct GroundedModel {
   GroundedModel(GeneratedData& data, DcMode mode) {
     attrs = data.dataset.RepairableAttrs();
     table = &data.dataset.dirty();
-    cooc = CooccurrenceStats::Build(*table, attrs);
+    cooc = CooccurrenceStats::BuildColumnar(*table, attrs);
     ViolationDetector detector(table, &data.dcs);
     violations = detector.Detect();
     noisy = ViolationDetector::NoisyFromViolations(violations);
@@ -102,7 +104,7 @@ struct GroundedModel {
     all.insert(all.end(), evidence.begin(), evidence.end());
     DomainPruningOptions prune;
     prune.tau = 0.5;
-    domains = PruneDomains(*table, all, attrs, cooc, prune);
+    domains = PruneDomainsColumnar(*table, all, attrs, cooc, prune);
 
     input.table = table;
     input.dcs = &data.dcs;
@@ -145,10 +147,10 @@ void BM_SgdEpoch(benchmark::State& state) {
   auto graph = grounder.Ground();
   LearnerOptions options;
   options.epochs = 1;
-  SgdLearner learner(&graph.value(), options);
   for (auto _ : state) {
     WeightStore weights;
-    benchmark::DoNotOptimize(learner.Train(&weights));
+    benchmark::DoNotOptimize(oracle::TrainSgd(
+        graph.value(), graph.value().evidence_vars(), options, &weights));
   }
   state.SetItemsProcessed(state.iterations() * model.evidence.size());
 }
@@ -163,7 +165,7 @@ void BM_SgdEpochCompiled(benchmark::State& state) {
       CompiledGraph::Build(graph.value(), *model.table, data.dcs);
   LearnerOptions options;
   options.epochs = 1;
-  SgdLearner learner(&graph.value(), options);
+  SgdLearner learner(options);
   for (auto _ : state) {
     WeightStore weights;
     benchmark::DoNotOptimize(learner.Train(compiled, &weights));
@@ -182,9 +184,8 @@ void BM_GibbsSweep(benchmark::State& state) {
   options.burn_in = 0;
   options.samples = 1;
   for (auto _ : state) {
-    GibbsSampler sampler(&graph.value(), model.table, &data.dcs, &weights,
-                         options);
-    benchmark::DoNotOptimize(sampler.Run());
+    benchmark::DoNotOptimize(oracle::GibbsMarginals(
+        graph.value(), *model.table, data.dcs, weights, options, 0.8));
   }
   state.SetItemsProcessed(state.iterations() *
                           graph.value().query_vars().size());
@@ -203,8 +204,8 @@ void BM_GibbsSweepCompiled(benchmark::State& state) {
   options.burn_in = 0;
   options.samples = 1;
   for (auto _ : state) {
-    GibbsSampler sampler(&graph.value(), model.table, &data.dcs, &weights,
-                         options, &compiled);
+    GibbsSampler sampler(&graph.value(), compiled, model.table, &data.dcs,
+                         &weights, options);
     benchmark::DoNotOptimize(sampler.Run());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -216,18 +217,34 @@ BENCHMARK(BM_GibbsSweepCompiled);
 // Compiled-vs-reference kernel comparison on the Food 4k workload.
 // ---------------------------------------------------------------------------
 
-struct StageRun {
-  double learn_seconds = 0.0;
-  double infer_seconds = 0.0;
+struct KernelRun {
+  double learn_seconds_reference = 0.0;
+  double infer_seconds_reference = 0.0;
+  double learn_seconds_compiled = 0.0;
+  double infer_seconds_compiled = 0.0;
   size_t evidence_vars = 0;
   size_t query_vars = 0;
-  std::vector<Repair> repairs;
+  bool identical = false;
 };
 
-/// One full pipeline run; returns the learn/infer stage wall times from
-/// the session's stage timings (the compiled run pays its CompiledGraph
-/// build inside the learn stage, so the comparison is end to end).
-StageRun RunFoodStages(const HoloCleanConfig& config) {
+bool RepairsIdentical(const std::vector<Repair>& a,
+                      const std::vector<Repair>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i].cell == b[i].cell) || a[i].new_value != b[i].new_value ||
+        a[i].probability != b[i].probability) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One full pipeline run on the compiled kernel (learn/infer wall times
+/// from the session's stage timings; the learn stage pays the
+/// CompiledGraph build, so the comparison is end to end), then the learn,
+/// infer, and repair stages again on the session's factor graph through
+/// the interpreters.
+KernelRun RunFoodKernels(const HoloCleanConfig& config) {
   FoodOptions options;
   options.num_rows = 4000;  // The acceptance workload; bench scale exempt.
   GeneratedData data = MakeFood(options);
@@ -245,96 +262,91 @@ StageRun RunFoodStages(const HoloCleanConfig& config) {
                  report.status().ToString().c_str());
     std::abort();
   }
-  StageRun out;
+  KernelRun out;
   const auto& timings = report.value().stats.stage_timings;
-  out.learn_seconds = timings[static_cast<size_t>(StageId::kLearn)].seconds;
-  out.infer_seconds = timings[static_cast<size_t>(StageId::kInfer)].seconds +
-                      timings[static_cast<size_t>(StageId::kRepair)].seconds;
+  out.learn_seconds_compiled =
+      timings[static_cast<size_t>(StageId::kLearn)].seconds;
+  out.infer_seconds_compiled =
+      timings[static_cast<size_t>(StageId::kInfer)].seconds +
+      timings[static_cast<size_t>(StageId::kRepair)].seconds;
   out.evidence_vars = report.value().stats.num_evidence_vars;
   out.query_vars = report.value().stats.num_query_vars;
-  out.repairs = std::move(report.value().repairs);
-  return out;
-}
 
-bool RepairsIdentical(const std::vector<Repair>& a,
-                      const std::vector<Repair>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i].cell == b[i].cell) || a[i].new_value != b[i].new_value ||
-        a[i].probability != b[i].probability) {
-      return false;
-    }
-  }
-  return true;
+  const PipelineContext& ctx = session.context();
+  Timer timer;
+  WeightStore weights = oracle::LearnWeights(ctx);
+  out.learn_seconds_reference = timer.Seconds();
+  timer.Reset();
+  Marginals marginals = oracle::InferMarginals(ctx, weights);
+  std::vector<Repair> repairs;
+  std::vector<CellPosterior> posteriors;
+  oracle::ExtractRepairs(ctx, marginals, &repairs, &posteriors);
+  out.infer_seconds_reference = timer.Seconds();
+  out.identical = weights.raw() == ctx.weights.raw() &&
+                  RepairsIdentical(repairs, report.value().repairs);
+  return out;
 }
 
 void ReportKernelComparison(const char* label, const HoloCleanConfig& base,
                             int sweeps) {
-  HoloCleanConfig ref_config = base;
-  ref_config.compiled_kernel = false;
-  HoloCleanConfig comp_config = base;
-  comp_config.compiled_kernel = true;
-
-  StageRun ref = RunFoodStages(ref_config);
-  StageRun comp = RunFoodStages(comp_config);
-  bool identical = RepairsIdentical(ref.repairs, comp.repairs);
+  KernelRun run = RunFoodKernels(base);
   std::string prefix = std::string("food4k_") + label;
   bench::AppendBenchMetric("micro_perf", prefix + "_repairs_identical",
-                           identical ? 1.0 : 0.0);
-  if (!identical) {
+                           run.identical ? 1.0 : 0.0);
+  if (!run.identical) {
     // The bench doubles as CI's bit-identity cross-check: a divergence
     // must fail the job, not just print — after recording the failed
     // check in the metrics artifact. (The speedup itself stays advisory —
     // shared runners are too noisy to gate on.)
     std::fprintf(stderr,
-                 "FATAL: compiled kernel repairs diverge from the reference "
-                 "path on food4k %s\n",
+                 "FATAL: compiled kernel weights or repairs diverge from the "
+                 "reference interpreter on food4k %s\n",
                  label);
     std::exit(1);
   }
 
-  double ref_total = ref.learn_seconds + ref.infer_seconds;
-  double comp_total = comp.learn_seconds + comp.infer_seconds;
+  double ref_total = run.learn_seconds_reference + run.infer_seconds_reference;
+  double comp_total = run.learn_seconds_compiled + run.infer_seconds_compiled;
   double speedup = comp_total > 0.0 ? ref_total / comp_total : 0.0;
   double learn_examples =
-      static_cast<double>(ref.evidence_vars) * base.epochs;
+      static_cast<double>(run.evidence_vars) * base.epochs;
   double infer_var_sweeps =
-      static_cast<double>(ref.query_vars) * static_cast<double>(sweeps);
+      static_cast<double>(run.query_vars) * static_cast<double>(sweeps);
 
   std::printf(
       "\nfood4k %s: learn %.3fs -> %.3fs, infer %.3fs -> %.3fs, "
-      "combined speedup %.2fx, repairs bit-identical\n",
-      label, ref.learn_seconds, comp.learn_seconds, ref.infer_seconds,
-      comp.infer_seconds, speedup);
+      "combined speedup %.2fx, weights and repairs bit-identical\n",
+      label, run.learn_seconds_reference, run.learn_seconds_compiled,
+      run.infer_seconds_reference, run.infer_seconds_compiled, speedup);
   std::printf(
       "  learn vars/s %.0f -> %.0f; infer var-sweeps/s %.0f -> %.0f\n",
-      learn_examples / ref.learn_seconds,
-      learn_examples / comp.learn_seconds,
-      infer_var_sweeps / ref.infer_seconds,
-      infer_var_sweeps / comp.infer_seconds);
+      learn_examples / run.learn_seconds_reference,
+      learn_examples / run.learn_seconds_compiled,
+      infer_var_sweeps / run.infer_seconds_reference,
+      infer_var_sweeps / run.infer_seconds_compiled);
 
   bench::AppendBenchMetric("micro_perf", prefix + "_learn_seconds_reference",
-                           ref.learn_seconds);
+                           run.learn_seconds_reference);
   bench::AppendBenchMetric("micro_perf", prefix + "_learn_seconds_compiled",
-                           comp.learn_seconds);
+                           run.learn_seconds_compiled);
   bench::AppendBenchMetric("micro_perf", prefix + "_infer_seconds_reference",
-                           ref.infer_seconds);
+                           run.infer_seconds_reference);
   bench::AppendBenchMetric("micro_perf", prefix + "_infer_seconds_compiled",
-                           comp.infer_seconds);
+                           run.infer_seconds_compiled);
   bench::AppendBenchMetric("micro_perf", prefix + "_learn_infer_speedup",
                            speedup);
   bench::AppendBenchMetric("micro_perf",
                            prefix + "_learn_vars_per_sec_reference",
-                           learn_examples / ref.learn_seconds);
+                           learn_examples / run.learn_seconds_reference);
   bench::AppendBenchMetric("micro_perf",
                            prefix + "_learn_vars_per_sec_compiled",
-                           learn_examples / comp.learn_seconds);
+                           learn_examples / run.learn_seconds_compiled);
   bench::AppendBenchMetric("micro_perf",
                            prefix + "_infer_var_sweeps_per_sec_reference",
-                           infer_var_sweeps / ref.infer_seconds);
+                           infer_var_sweeps / run.infer_seconds_reference);
   bench::AppendBenchMetric("micro_perf",
                            prefix + "_infer_var_sweeps_per_sec_compiled",
-                           infer_var_sweeps / comp.infer_seconds);
+                           infer_var_sweeps / run.infer_seconds_compiled);
 }
 
 void RunKernelComparison() {

@@ -1,7 +1,7 @@
 // Session persistence: bytes on disk and save/restore/resume wall times
-// across the snapshot variants — the legacy v1 format, the v2 sectioned
-// format with raw and packed codecs, and v2 packed restored via mmap with
-// the factor-graph section deferred to first stage access. A session saved
+// across the snapshot variants — the v2 sectioned format with raw and
+// packed codecs, and v2 packed restored via mmap with the factor-graph
+// section deferred to first stage access. A session saved
 // after learning carries the grounded factor graph and trained weights, so
 // a restored process pays only inference + repair extraction; the packed
 // codec shrinks the bytes that buy that shortcut and the mmap path defers
@@ -94,15 +94,13 @@ int main() {
   if (!session.RunThrough(StageId::kLearn).ok()) return 1;
 
   Variant variants[] = {
-      {"v1 (legacy)", {SectionCodec::kRaw, kSnapshotFormatV1}, false},
-      {"v2 raw", {SectionCodec::kRaw, kSnapshotFormatVersion}, false},
-      {"v2 packed", {SectionCodec::kPacked, kSnapshotFormatVersion}, false},
-      {"v2 packed + mmap",
-       {SectionCodec::kPacked, kSnapshotFormatVersion},
-       true},
+      {"v2 raw", {SectionCodec::kRaw}, false},
+      {"v2 packed", {SectionCodec::kPacked}, false},
+      {"v2 packed + mmap", {SectionCodec::kPacked}, true},
   };
-  VariantResult results[4];
-  for (size_t i = 0; i < 4; ++i) {
+  constexpr size_t kVariants = sizeof(variants) / sizeof(variants[0]);
+  VariantResult results[kVariants];
+  for (size_t i = 0; i < kVariants; ++i) {
     const Variant& variant = variants[i];
     VariantResult& r = results[i];
     timer.Reset();
@@ -145,7 +143,7 @@ int main() {
             "resume (s)", "rest+res"},
            widths);
   PrintRule(widths);
-  for (size_t i = 0; i < 4; ++i) {
+  for (size_t i = 0; i < kVariants; ++i) {
     const VariantResult& r = results[i];
     PrintRow({variants[i].name,
               Fmt(static_cast<double>(r.bytes) / (1024.0 * 1024.0), 1),
@@ -156,27 +154,27 @@ int main() {
   }
   PrintRule(widths);
 
-  double ratio = results[2].bytes > 0
+  double ratio = results[1].bytes > 0
                      ? static_cast<double>(results[0].bytes) /
-                           static_cast<double>(results[2].bytes)
+                           static_cast<double>(results[1].bytes)
                      : 0.0;
   bool all_identical = true;
   for (const VariantResult& r : results) all_identical &= r.identical;
-  double warm = results[2].restore_seconds + results[2].resume_seconds;
+  double warm = results[1].restore_seconds + results[1].resume_seconds;
   std::printf(
       "cold run: %ss; packed restore+resume vs cold: %sx\n"
-      "on-disk size reduction (v1 -> v2 packed): %sx\n"
-      "mmap restore-to-session-ready: %ss vs eager v1 %ss\n"
+      "on-disk size reduction (v2 raw -> v2 packed): %sx\n"
+      "mmap restore-to-session-ready: %ss vs eager packed %ss\n"
       "repairs %s\n",
       Fmt(cold_seconds).c_str(),
       warm > 0.0 ? Fmt(cold_seconds / warm, 1).c_str() : "-",
-      Fmt(ratio, 2).c_str(), Fmt(results[3].restore_seconds).c_str(),
-      Fmt(results[0].restore_seconds).c_str(),
+      Fmt(ratio, 2).c_str(), Fmt(results[2].restore_seconds).c_str(),
+      Fmt(results[1].restore_seconds).c_str(),
       all_identical ? "bit-identical to the cold run for every variant"
                     : "DIFFER (BUG)");
 
-  const char* keys[] = {"v1", "v2_raw", "v2_packed", "v2_packed_mmap"};
-  for (size_t i = 0; i < 4; ++i) {
+  const char* keys[] = {"v2_raw", "v2_packed", "v2_packed_mmap"};
+  for (size_t i = 0; i < kVariants; ++i) {
     std::string prefix = keys[i];
     AppendBenchMetric("micro_persist", prefix + "_bytes",
                       static_cast<double>(results[i].bytes));
@@ -188,7 +186,7 @@ int main() {
                       results[i].resume_seconds);
   }
   AppendBenchMetric("micro_persist", "cold_seconds", cold_seconds);
-  AppendBenchMetric("micro_persist", "size_reduction_v1_over_packed", ratio);
+  AppendBenchMetric("micro_persist", "size_reduction_raw_over_packed", ratio);
   AppendBenchMetric("micro_persist", "repairs_identical",
                     all_identical ? 1.0 : 0.0);
 

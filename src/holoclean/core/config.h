@@ -62,29 +62,11 @@ struct HoloCleanConfig {
   int gibbs_burn_in = 10;
   int gibbs_samples = 50;
 
-  /// Compiled inference kernel for the learn/infer stages: dense weight
-  /// ids, CSR feature arenas, and precomputed DC violation tables (see
-  /// model/compiled_graph.h). Bit-identical results to the reference
-  /// FactorGraph interpreter for any seed and thread count — this knob
-  /// only trades compile-once setup cost for much faster hot loops, so it
-  /// is deliberately excluded from the snapshot config fingerprint. Off
-  /// switches back to the reference path (A/B comparisons, debugging).
-  bool compiled_kernel = true;
   /// Max candidate-combination entries precomputed per DC factor; factors
   /// whose candidate cross-product exceeds the cap fall back to
-  /// evaluator-based scoring (bit-identical, just slower). Also excluded
-  /// from the config fingerprint.
+  /// evaluator-based scoring (bit-identical, just slower). Excluded from
+  /// the config fingerprint.
   size_t dc_table_cap = 4096;
-
-  /// Columnar fast paths for detect/compile: violation detection over
-  /// per-column dictionary codes, co-occurrence counting passes, flat-run
-  /// domain pruning, and context-run grounding features. Storage itself is
-  /// always columnar (ColumnStore behind Table); this knob only selects the
-  /// scan algorithms and is bit-identical to the row reference paths for
-  /// any seed and thread count, so — like `compiled_kernel` — it is
-  /// excluded from the snapshot config fingerprint. Off switches back to
-  /// the row reference path (A/B comparisons, differential tests).
-  bool columnar = true;
 
   /// Master seed for every randomized component.
   uint64_t seed = 42;
@@ -114,7 +96,6 @@ struct HoloCleanConfig {
     g.dc_factor_weight = dc_factor_weight;
     g.minimality_weight = minimality_weight;
     g.sim_threshold = sim_threshold;
-    g.columnar = columnar;
     return g;
   }
 };

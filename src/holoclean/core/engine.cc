@@ -88,13 +88,7 @@ Result<Report> CleanOnce(CleaningInputs inputs, SessionOptions options) {
   Result<Session> opened =
       OpenStandaloneSession(std::move(inputs), std::move(options));
   if (!opened.ok()) return opened.status();
-  Session session = std::move(opened).value();
-  Result<Report> report = session.Run();
-  if (report.ok()) {
-    report.value().learned_weights =
-        std::make_shared<const WeightStore>(session.context().weights);
-  }
-  return report;
+  return opened.value().Run();
 }
 
 Result<Report> Engine::RunJob(CleaningInputs inputs, SessionOptions options) {
@@ -106,13 +100,11 @@ Result<Report> Engine::RunJob(CleaningInputs inputs, SessionOptions options) {
   if (!opened.ok()) return opened.status();
   Session session = std::move(opened).value();
   Result<Report> report = session.Run();
-  if (report.ok()) {
-    report.value().learned_weights =
-        std::make_shared<const WeightStore>(session.context().weights);
-    // Park only successful sessions: a failed stage may have left a
-    // partial context, and the next job under the key deserves a cold
-    // open. (CacheSession additionally refuses borrowed bundles.)
-    if (!cache_key.empty()) CacheSession(cache_key, std::move(session));
+  // Park only successful sessions: a failed stage may have left a partial
+  // context, and the next job under the key deserves a cold open.
+  // (CacheSession additionally refuses borrowed bundles.)
+  if (report.ok() && !cache_key.empty()) {
+    CacheSession(cache_key, std::move(session));
   }
   return report;
 }

@@ -247,8 +247,8 @@ Result<Session> OpenStandaloneSession(CleaningInputs inputs,
                                       SessionOptions options = {});
 
 /// Opens a standalone session, runs the full pipeline once, and returns
-/// the report (with learned_weights filled). The replacement for the
-/// removed facade's Run.
+/// the report. The replacement for the removed facade's Run; callers that
+/// need the learned weights open a session and read Session::weights().
 Result<Report> CleanOnce(CleaningInputs inputs, SessionOptions options = {});
 
 }  // namespace holoclean

@@ -94,8 +94,8 @@ struct PipelineContext {
   std::shared_ptr<DeferredGraphSource> deferred_graph;
   Grounder::Stats grounder_stats;
   /// Compiled runtime view of `graph` (dense weight ids, CSR arenas,
-  /// violation tables), built on demand by EnsureCompiled when
-  /// config.compiled_kernel is on. Never serialized: it is a pure function
+  /// violation tables), built on demand by EnsureCompiled for the learn and
+  /// infer stages. Never serialized: it is a pure function
   /// of the graph, table, and constraints, so restores and compile
   /// executions just drop it and the next learn/infer run rebuilds it.
   std::shared_ptr<const CompiledGraph> compiled;
@@ -126,16 +126,18 @@ struct PipelineContext {
   }
 
   /// Materializes the graph (if deferred) and builds the compiled runtime
-  /// view if it is not cached yet. Called by the learn/infer stages when
-  /// config.compiled_kernel is on; a rerun-from-infer against the cached
-  /// graph reuses the cached compiled view too. The build's arena fill and
-  /// violation-table precompute run on the session's pool (byte-identical
-  /// for any pool size; see CompiledGraph::Build).
+  /// view if it is not cached yet. Called by the learn/infer stages; a
+  /// rerun-from-infer against the cached graph reuses the cached compiled
+  /// view too. The build's arena fill and violation-table precompute run on
+  /// the session's pool (byte-identical for any pool size; see
+  /// CompiledGraph::Build). The violation tables score ≈ predicates at the
+  /// configured sim_threshold, like detection and grounding.
   Status EnsureCompiled() {
     HOLO_RETURN_NOT_OK(EnsureGraph());
     if (compiled == nullptr) {
       CompiledGraphOptions copts;
       copts.violation_table_cap = config.dc_table_cap;
+      copts.sim_threshold = config.sim_threshold;
       // Non-const make_shared: the streaming tier extends the arenas in
       // place (CompiledGraph::AppendVariables) through a const_pointer_cast,
       // which is only defined when the owned object is not actually const.

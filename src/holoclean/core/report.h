@@ -1,11 +1,9 @@
 #ifndef HOLOCLEAN_CORE_REPORT_H_
 #define HOLOCLEAN_CORE_REPORT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "holoclean/model/weight_store.h"
 #include "holoclean/storage/table.h"
 
 namespace holoclean {
@@ -89,14 +87,6 @@ struct Report {
   RunStats stats;
   /// The generated DDlog-style program (for inspection / debugging).
   std::string ddlog;
-  /// The learned weights backing this run's repairs (model introspection
-  /// for consumers that never see a session — Engine batch futures and
-  /// the facade's Run). Filled at the job level, not by the learn stage
-  /// (a per-stage deep copy would tax every incremental re-run): null on
-  /// reports read straight off a Session, where Session::weights()
-  /// exposes the live store for free. Not serialized into snapshots: the
-  /// WeightStore has its own section.
-  std::shared_ptr<const WeightStore> learned_weights;
 
   /// Applies the repairs to a table (typically the dataset's dirty table).
   void Apply(Table* table) const {

@@ -174,18 +174,11 @@ void Session::UpdateConfig(const HoloCleanConfig& config) {
       config.gibbs_samples != cur.gibbs_samples) {
     touch(StageId::kInfer);
   }
-  // The compiled kernel produces bit-identical results, so toggling it (or
-  // moving the violation-table cap) re-runs from learn only so an A/B
-  // comparison actually exercises the requested path — and a cap change
+  // Results do not depend on the violation-table cap, but moving it re-runs
+  // from learn so the requested table/fallback split actually runs — and
   // drops the cached compiled view, which bakes the cap in at build time.
-  if (config.compiled_kernel != cur.compiled_kernel ||
-      config.dc_table_cap != cur.dc_table_cap) {
+  if (config.dc_table_cap != cur.dc_table_cap) {
     touch(StageId::kLearn);
-  }
-  // Drop the cached compiled view when it can no longer be used as-is: a
-  // cap change bakes differently, and a disabled kernel should not keep
-  // tens of MB of arenas alive (EnsureCompiled rebuilds on re-enable).
-  if (config.dc_table_cap != cur.dc_table_cap || !config.compiled_kernel) {
     ctx_.compiled.reset();
   }
   // A shared pool is engine property: num_threads only governs private
@@ -210,7 +203,6 @@ void Session::PinCell(const CellRef& cell, ValueId value) {
     ViolationDetector::Options options;
     options.sim_threshold = ctx_.config.sim_threshold;
     options.pool = ctx_.pool;
-    options.columnar = ctx_.config.columnar;
     ViolationDetector detector(&ctx_.dataset->dirty(), ctx_.dcs, options);
     DeltaDetectResult delta = detector.DetectForTuple(cell.tid);
     DetectResult merged = ViolationDetector::MergeTupleDelta(

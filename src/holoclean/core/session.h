@@ -105,9 +105,8 @@ class Session {
   /// A later process restores it with Engine::OpenSession or
   /// OpenStandaloneSession (snapshot_path) and re-runs from any cached
   /// stage exactly like an in-process rerun. `options` select the section
-  /// codec (packed by default) and, for comparison benchmarks, the legacy
-  /// v1 format. A lazily restored session materializes its factor graph
-  /// first.
+  /// codec (packed by default). A lazily restored session materializes its
+  /// factor graph first.
   Status Save(const std::string& path, const SnapshotSaveOptions& options = {});
 
   /// Loads a snapshot saved by Save() into this session, replacing every

@@ -98,7 +98,6 @@ class DetectStage : public PipelineStage {
     ViolationDetector::Options options;
     options.sim_threshold = ctx->config.sim_threshold;
     options.pool = ctx->pool;
-    options.columnar = ctx->config.columnar;
     ViolationDetector detector(&table, ctx->dcs, options);
     DetectResult result = detector.DetectAll();
     ctx->violations = std::move(result.violations);
@@ -138,9 +137,7 @@ class CompileStage : public PipelineStage {
     ctx->deferred_graph.reset();
     ctx->compiled.reset();
 
-    ctx->cooc = config.columnar
-                    ? CooccurrenceStats::BuildColumnar(table, attrs, ctx->pool)
-                    : CooccurrenceStats::Build(table, attrs);
+    ctx->cooc = CooccurrenceStats::BuildColumnar(table, attrs, ctx->pool);
 
     // External data: evaluate matching dependencies, intern suggested
     // values so they can enter candidate domains.
@@ -176,12 +173,8 @@ class CompileStage : public PipelineStage {
     std::vector<CellRef> all_cells = ctx->query_cells;
     all_cells.insert(all_cells.end(), ctx->evidence_cells.begin(),
                      ctx->evidence_cells.end());
-    ctx->domains = config.columnar
-                       ? PruneDomainsColumnar(table, all_cells, attrs,
-                                              ctx->cooc, prune_options,
-                                              ctx->pool)
-                       : PruneDomains(table, all_cells, attrs, ctx->cooc,
-                                      prune_options);
+    ctx->domains = PruneDomainsColumnar(table, all_cells, attrs, ctx->cooc,
+                                        prune_options, ctx->pool);
 
     // Candidates suggested by external dictionaries join the domain of the
     // matched (noisy) cells.
@@ -263,13 +256,8 @@ class LearnStage : public PipelineStage {
     options.lr_decay = config.lr_decay;
     options.l2 = config.l2;
     options.seed = config.seed ^ 0x5851F42D4C957F2DULL;
-    SgdLearner learner(&ctx->graph, options);
-    if (config.compiled_kernel) {
-      HOLO_RETURN_NOT_OK(ctx->EnsureCompiled());
-      learner.Train(*ctx->compiled, &ctx->weights);
-    } else {
-      learner.Train(&ctx->weights);
-    }
+    HOLO_RETURN_NOT_OK(ctx->EnsureCompiled());
+    SgdLearner(options).Train(*ctx->compiled, &ctx->weights);
     return Status::OK();
   }
 };
@@ -282,26 +270,19 @@ class InferStage : public PipelineStage {
   StageId id() const override { return StageId::kInfer; }
 
   Status Run(PipelineContext* ctx) override {
-    HOLO_RETURN_NOT_OK(ctx->EnsureGraph());
+    HOLO_RETURN_NOT_OK(ctx->EnsureCompiled());
     const HoloCleanConfig& config = ctx->config;
-    const CompiledGraph* compiled = nullptr;
-    if (config.compiled_kernel) {
-      HOLO_RETURN_NOT_OK(ctx->EnsureCompiled());
-      compiled = ctx->compiled.get();
-    }
     if (ctx->graph.dc_factors().empty()) {
-      ctx->marginals = compiled != nullptr
-                           ? ExactIndependentMarginals(*compiled, ctx->weights)
-                           : ExactIndependentMarginals(ctx->graph,
-                                                       ctx->weights);
+      ctx->marginals = ExactIndependentMarginals(*ctx->compiled, ctx->weights);
     } else {
       GibbsOptions options;
       options.burn_in = config.gibbs_burn_in;
       options.samples = config.gibbs_samples;
       options.seed = config.seed ^ 0x2545F4914F6CDD1DULL;
       options.pool = ctx->pool;
-      GibbsSampler sampler(&ctx->graph, &ctx->dataset->dirty(), ctx->dcs,
-                           &ctx->weights, options, compiled);
+      GibbsSampler sampler(&ctx->graph, *ctx->compiled,
+                           &ctx->dataset->dirty(), ctx->dcs, &ctx->weights,
+                           options);
       ctx->marginals = sampler.Run();
     }
     return Status::OK();

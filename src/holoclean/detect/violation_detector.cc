@@ -197,19 +197,6 @@ Violation ViolationDetector::MakeViolation(int dc_index, TupleId t1,
 std::vector<Violation> ViolationDetector::DetectSingleTuple(
     int dc_index) const {
   const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
-  std::vector<Violation> out;
-  for (size_t t = 0; t < table_->num_rows(); ++t) {
-    TupleId tid = static_cast<TupleId>(t);
-    if (evaluator_.ViolatesSingle(dc, tid)) {
-      out.push_back(MakeViolation(dc_index, tid, tid));
-    }
-  }
-  return out;
-}
-
-std::vector<Violation> ViolationDetector::DetectSingleTupleColumnar(
-    int dc_index) const {
-  const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
   // A single-tuple DC references only role 0, so its violations are exactly
   // the tuples passing the role-0 mask.
   ColumnarPlan plan = BuildPlan(*table_, dc, evaluator_);
@@ -231,82 +218,6 @@ std::vector<Violation> ViolationDetector::DetectSingleTupleColumnar(
 }
 
 std::vector<Violation> ViolationDetector::DetectTwoTuple(
-    int dc_index, bool* truncated) const {
-  const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
-  std::vector<Violation> out;
-  auto equalities = dc.CrossEqualities();
-  size_t n = table_->num_rows();
-
-  // Deduplicate on unordered tuple pairs: if both (x,y) and (y,x) violate,
-  // one edge carries the same repair information.
-  std::unordered_set<uint64_t> reported;
-  auto report = [&](TupleId a, TupleId b) {
-    uint64_t lo = static_cast<uint32_t>(std::min(a, b));
-    uint64_t hi = static_cast<uint32_t>(std::max(a, b));
-    if (reported.insert((hi << 32) | lo).second) {
-      out.push_back(MakeViolation(dc_index, a, b));
-    }
-  };
-
-  if (equalities.empty()) {
-    size_t budget = options_.max_fallback_pairs;
-    for (size_t i = 0; i < n && budget > 0; ++i) {
-      for (size_t j = 0; j < n && budget > 0; ++j) {
-        if (i == j) continue;
-        --budget;
-        TupleId a = static_cast<TupleId>(i);
-        TupleId b = static_cast<TupleId>(j);
-        if (evaluator_.Violates(dc, a, b)) report(a, b);
-      }
-    }
-    if (budget == 0) {
-      if (truncated != nullptr) *truncated = true;
-      HOLO_LOG(kWarning) << "fallback pair budget exhausted for DC "
-                         << dc.name;
-    }
-    return out;
-  }
-
-  // Hash blocking: a tuple pair can only violate the DC if it agrees on all
-  // cross-tuple equality predicates. Key tuples by their t1-role values and
-  // t2-role values separately (attributes may differ across roles).
-  auto key_for = [&](TupleId t, int role) -> uint64_t {
-    uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (const Predicate* p : equalities) {
-      AttrId attr;
-      if (role == 0) {
-        attr = p->lhs_tuple == 0 ? p->lhs_attr : p->rhs_attr;
-      } else {
-        attr = p->lhs_tuple == 1 ? p->lhs_attr : p->rhs_attr;
-      }
-      ValueId v = table_->Get(t, attr);
-      if (v == Dictionary::kNull) return 0;  // NULL never matches.
-      h = HashCombine(h, static_cast<uint64_t>(static_cast<uint32_t>(v)));
-    }
-    return h;
-  };
-
-  std::unordered_map<uint64_t, std::vector<TupleId>> t2_buckets;
-  t2_buckets.reserve(n);
-  for (size_t t = 0; t < n; ++t) {
-    uint64_t key = key_for(static_cast<TupleId>(t), 1);
-    if (key != 0) t2_buckets[key].push_back(static_cast<TupleId>(t));
-  }
-  for (size_t t = 0; t < n; ++t) {
-    TupleId a = static_cast<TupleId>(t);
-    uint64_t key = key_for(a, 0);
-    if (key == 0) continue;
-    auto it = t2_buckets.find(key);
-    if (it == t2_buckets.end()) continue;
-    for (TupleId b : it->second) {
-      if (a == b) continue;
-      if (evaluator_.Violates(dc, a, b)) report(a, b);
-    }
-  }
-  return out;
-}
-
-std::vector<Violation> ViolationDetector::DetectTwoTupleColumnar(
     int dc_index, bool* truncated) const {
   const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
   std::vector<Violation> out;
@@ -359,11 +270,11 @@ std::vector<Violation> ViolationDetector::DetectTwoTupleColumnar(
   };
 
   if (plan.cross_eq.empty()) {
-    // Brute-force fallback. The budget arithmetic mirrors the row path
-    // exactly — each considered pair (j != i) costs one unit — so the same
-    // prefix of the pair sequence is inspected; rows failing their role-0
-    // mask are skipped in O(1) by charging the whole row at once (none of
-    // their pairs can violate).
+    // Brute-force fallback. The budget arithmetic mirrors the row-at-a-time
+    // reference exactly — each considered pair (j != i) costs one unit — so
+    // the same prefix of the pair sequence is inspected; rows failing their
+    // role-0 mask are skipped in O(1) by charging the whole row at once
+    // (none of their pairs can violate).
     size_t budget = options_.max_fallback_pairs;
     for (size_t i = 0; i < n && budget > 0; ++i) {
       if (!plan.ok[0][i]) {
@@ -388,9 +299,9 @@ std::vector<Violation> ViolationDetector::DetectTwoTupleColumnar(
   }
 
   // Hash blocking on the cross-equality ids, scanning the decoded columns
-  // directly. Keys and bucket order match the row path, so the violation
-  // sequence is identical; tuples failing their single-role mask are
-  // dropped before pairing (their pairs cannot violate).
+  // directly. Keys and bucket order match the row-at-a-time reference, so
+  // the violation sequence is identical; tuples failing their single-role
+  // mask are dropped before pairing (their pairs cannot violate).
   std::vector<const std::vector<ValueId>*> key_cols[2];
   for (const auto& cp : plan.cross_eq) {
     // Role 0 reads the attr the predicate gives t1, role 1 the t2 attr.
@@ -434,10 +345,6 @@ std::vector<Violation> ViolationDetector::DetectTwoTupleColumnar(
 std::vector<Violation> ViolationDetector::DetectOneImpl(int dc_index,
                                                         bool* truncated) const {
   const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
-  if (options_.columnar) {
-    return dc.IsTwoTuple() ? DetectTwoTupleColumnar(dc_index, truncated)
-                           : DetectSingleTupleColumnar(dc_index);
-  }
   return dc.IsTwoTuple() ? DetectTwoTuple(dc_index, truncated)
                          : DetectSingleTuple(dc_index);
 }
@@ -488,10 +395,10 @@ std::vector<Violation> ViolationDetector::Detect() const {
 // given tuple set form a contiguous-by-sort-key subsequence. The delta
 // paths below reproduce exactly that subsequence (same check order, same
 // dedup semantics), which makes cached + delta == full scan, including
-// order. Delta evaluation uses the row-path evaluator; its verdicts are
-// pinned bit-identical to the columnar plan by the existing differential
-// tests, and bucket masking in the columnar path only skips checks that
-// could never violate, so the violating-check sequence is the same.
+// order. Delta evaluation calls the evaluator per pair; its verdicts are
+// pinned bit-identical to the columnar plan by the differential tests, and
+// bucket masking in the full scan only skips checks that could never
+// violate, so the violating-check sequence is the same.
 
 std::vector<Violation> ViolationDetector::DeltaTwoTupleAppended(
     int dc_index, size_t old_rows) const {

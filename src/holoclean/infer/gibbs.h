@@ -37,18 +37,18 @@ struct GibbsOptions {
 /// distribution equals ExactIndependentMarginals and mixes in O(n log n)
 /// sweeps (the guarantee HoloClean's relaxation buys, §5.2).
 ///
-/// With a CompiledGraph the sampler runs its compiled kernel: unary scores
-/// come from the dense weight vector and CSR feature arenas, and factor
-/// scoring is a precomputed violation-table lookup (falling back to the
-/// DcEvaluator only for factors whose candidate cross-product exceeded the
-/// table cap). Sweeps are allocation-free and the sampled chain is
-/// bit-identical to the reference path.
+/// The sampler runs on the graph's CompiledGraph: unary scores come from
+/// the dense weight vector and CSR feature arenas, and factor scoring is a
+/// precomputed violation-table lookup (falling back to the DcEvaluator only
+/// for factors whose candidate cross-product exceeded the table cap).
+/// Sweeps are allocation-free, and the sampled chain is bit-identical to
+/// the FactorGraph interpreter kept as the reference in tests/oracle/.
 class GibbsSampler {
  public:
-  GibbsSampler(const FactorGraph* graph, const Table* table,
-               const std::vector<DenialConstraint>* dcs,
-               const WeightStore* weights, GibbsOptions options,
-               const CompiledGraph* compiled = nullptr);
+  /// `compiled` must have been built from `graph` (see CompiledGraph).
+  GibbsSampler(const FactorGraph* graph, const CompiledGraph& compiled,
+               const Table* table, const std::vector<DenialConstraint>* dcs,
+               const WeightStore* weights, GibbsOptions options);
 
   /// Runs burn-in + sampling sweeps, returns estimated marginals.
   Marginals Run();
@@ -66,14 +66,11 @@ class GibbsSampler {
     std::vector<CellOverride> overrides;
   };
 
-  double FactorScore(int var_id, int candidate_index,
-                     std::vector<CellOverride>* overrides);
-  /// Compiled kernel: per-candidate factor scores for `var_id` into
-  /// scratch->factor_acc in one pass over its factors (affine
-  /// violation-table indexing; evaluator fallback above the table cap).
-  /// Accumulation order matches FactorScore bit for bit.
-  void FactorScoresCompiled(int var_id, size_t num_cand,
-                            ChainScratch* scratch);
+  /// Per-candidate factor scores for `var_id` into scratch->factor_acc in
+  /// one pass over its factors (affine violation-table indexing; evaluator
+  /// fallback above the table cap), accumulated per candidate in factor
+  /// order.
+  void FactorScores(int var_id, size_t num_cand, ChainScratch* scratch);
   void SampleVariable(int var_id, Rng* rng, ChainScratch* scratch);
   /// Runs the full chain for one connected component of query variables,
   /// accumulating marginal counts (disjoint from other components).
@@ -84,12 +81,9 @@ class GibbsSampler {
   std::vector<std::vector<int32_t>> QueryComponents() const;
 
   const FactorGraph* graph_;
-  const Table* table_;
+  const CompiledGraph& compiled_;
   const std::vector<DenialConstraint>* dcs_;
-  const WeightStore* weights_;
   GibbsOptions options_;
-  /// Compiled kernel, or null for the reference interpreter.
-  const CompiledGraph* compiled_;
   DcEvaluator evaluator_;
   std::vector<int> assignment_;
   /// Unary scores are assignment-independent; precomputed once.

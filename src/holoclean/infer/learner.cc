@@ -24,64 +24,29 @@ std::vector<double> Softmax(const std::vector<double>& scores) {
   return probs;
 }
 
-SgdLearner::SgdLearner(const FactorGraph* graph, LearnerOptions options)
-    : graph_(graph), options_(options) {}
+SgdLearner::SgdLearner(LearnerOptions options) : options_(options) {}
 
-std::vector<double> SgdLearner::Train(WeightStore* weights) const {
-  return TrainOn(graph_->evidence_vars(), weights);
+std::vector<double> SgdLearner::Train(const CompiledGraph& compiled,
+                                      WeightStore* weights) const {
+  std::vector<int32_t> evidence_vars;
+  for (size_t v = 0; v < compiled.num_variables(); ++v) {
+    if (compiled.IsEvidence(static_cast<int>(v))) {
+      evidence_vars.push_back(static_cast<int32_t>(v));
+    }
+  }
+  return TrainOn(compiled, evidence_vars, weights);
 }
 
 std::vector<double> SgdLearner::TrainOn(
-    const std::vector<int32_t>& evidence_vars, WeightStore* weights) const {
+    const CompiledGraph& compiled, const std::vector<int32_t>& evidence_vars,
+    WeightStore* weights) const {
   std::vector<int32_t> order(evidence_vars);
   std::vector<double> epoch_nll;
   if (order.empty()) return epoch_nll;
 
-  Rng rng(options_.seed);
-  double lr = options_.learning_rate;
-  std::vector<double> scores;
-
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double nll = 0.0;
-    for (int32_t var_id : order) {
-      const Variable& var = graph_->variable(var_id);
-      size_t num_cand = var.NumCandidates();
-      scores.assign(num_cand, 0.0);
-      for (size_t k = 0; k < num_cand; ++k) {
-        scores[k] = graph_->UnaryScore(var_id, static_cast<int>(k), *weights);
-      }
-      SoftmaxInPlace(&scores);  // `scores` now holds the probabilities.
-      size_t label = static_cast<size_t>(var.init_index);
-      nll -= std::log(std::max(scores[label], 1e-12));
-
-      for (size_t k = 0; k < num_cand; ++k) {
-        double coef = (k == label ? 1.0 : 0.0) - scores[k];
-        if (coef == 0.0) continue;
-        for (int32_t i = var.feat_begin[k]; i < var.feat_begin[k + 1]; ++i) {
-          const FeatureInstance& f = var.features[static_cast<size_t>(i)];
-          // Lazy L2: shrink the weight as we touch it.
-          double w = weights->Get(f.weight_key);
-          weights->Set(f.weight_key,
-                       w * (1.0 - lr * options_.l2) + lr * coef * f.activation);
-        }
-      }
-    }
-    epoch_nll.push_back(nll / static_cast<double>(order.size()));
-    lr *= options_.lr_decay;
-  }
-  return epoch_nll;
-}
-
-std::vector<double> SgdLearner::Train(const CompiledGraph& compiled,
-                                      WeightStore* weights) const {
-  std::vector<int32_t> order(graph_->evidence_vars());
-  std::vector<double> epoch_nll;
-  if (order.empty()) return epoch_nll;
-
   // Dense working copy of the parameters; written back at the end. Only
-  // weights the reference loop would have Set (coef != 0 at least once)
-  // are scattered, so the sparse store's entry set stays bit-compatible.
+  // weights the per-activation update would have Set (coef != 0 at least
+  // once) are scattered, so the sparse store's entry set stays exact.
   std::vector<double> dense = compiled.GatherWeights(*weights);
   std::vector<uint8_t> touched(dense.size(), 0);
   const std::vector<int32_t>& feat_weight = compiled.feat_weight();
@@ -111,6 +76,7 @@ std::vector<double> SgdLearner::Train(const CompiledGraph& compiled,
         for (int64_t i = compiled.FeatBegin(var_id, static_cast<int>(k));
              i < end; ++i) {
           size_t wid = static_cast<size_t>(feat_weight[static_cast<size_t>(i)]);
+          // Lazy L2: shrink the weight as we touch it.
           double w = dense[wid];
           dense[wid] = w * (1.0 - lr * options_.l2) +
                        lr * coef * feat_act[static_cast<size_t>(i)];

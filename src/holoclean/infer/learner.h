@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "holoclean/model/compiled_graph.h"
-#include "holoclean/model/factor_graph.h"
 
 namespace holoclean {
 
@@ -33,20 +32,20 @@ void SoftmaxInPlace(std::vector<double>* scores);
 /// observed value; SGD maximizes the conditional log-likelihood. Because
 /// the relaxed model's variables are independent, this objective is convex
 /// (paper §5.2).
+///
+/// SGD runs over a CompiledGraph: the store is gathered into a dense
+/// parameter vector, every update reads the CSR feature arenas, and the
+/// touched weights are scattered back — no hash lookup per feature
+/// activation. The results (per-epoch NLL, the store's entry set, every
+/// value) are bit-identical to the FactorGraph interpreter kept as the
+/// reference in tests/oracle/.
 class SgdLearner {
  public:
-  SgdLearner(const FactorGraph* graph, LearnerOptions options);
+  explicit SgdLearner(LearnerOptions options);
 
-  /// Trains `weights` in place; returns the average negative log-likelihood
-  /// per epoch (for convergence monitoring/tests).
-  std::vector<double> Train(WeightStore* weights) const;
-
-  /// Compiled-kernel variant: gathers the store into a dense parameter
-  /// vector, runs the same SGD over the compiled CSR feature arenas, and
-  /// scatters the touched weights back. Bit-identical to Train(weights) —
-  /// same shuffles, same arithmetic order, same store entry set — just
-  /// without a hash lookup per feature activation. `compiled` must have
-  /// been built from this learner's graph.
+  /// Trains `weights` in place over every evidence variable of `compiled`
+  /// (ascending ids, the graph's evidence order); returns the average
+  /// negative log-likelihood per epoch (for convergence monitoring/tests).
   std::vector<double> Train(const CompiledGraph& compiled,
                             WeightStore* weights) const;
 
@@ -55,13 +54,11 @@ class SgdLearner {
   /// reinitialization), same per-example update as Train. The streaming
   /// tier uses this to fold a freshly appended batch's evidence into
   /// already-learned weights without revisiting the full evidence set.
-  /// Runs the reference-graph path — append deltas are small, so the
-  /// per-activation hash lookup doesn't matter.
-  std::vector<double> TrainOn(const std::vector<int32_t>& evidence_vars,
+  std::vector<double> TrainOn(const CompiledGraph& compiled,
+                              const std::vector<int32_t>& evidence_vars,
                               WeightStore* weights) const;
 
  private:
-  const FactorGraph* graph_;
   LearnerOptions options_;
 };
 

@@ -179,12 +179,10 @@ uint64_t ConfigFingerprint(const HoloCleanConfig& c) {
   // reminder to update the fingerprint and bump kSnapshotFormatVersion if
   // the default changed behavior. (x86-64/AArch64 SysV layout.)
   //
-  // compiled_kernel, dc_table_cap, and columnar are deliberately NOT mixed
-  // in: the compiled kernel and the columnar scan paths are bit-identical
-  // to their reference paths (enforced by the differential tests), so
-  // snapshots interchange freely across those knobs — including
-  // pre-existing snapshots written before the knobs existed.
-  static_assert(sizeof(HoloCleanConfig) == 184,
+  // dc_table_cap is deliberately NOT mixed in: factors above the cap fall
+  // back to evaluator scoring with bit-identical results (enforced by the
+  // differential tests), so snapshots interchange freely across caps.
+  static_assert(sizeof(HoloCleanConfig) == 168,
                 "HoloCleanConfig changed: update ConfigFingerprint");
   uint64_t h = HashBytes("holoclean-config-v1");
   auto mix_u = [&h](uint64_t v) { h = HashCombine(h, v); };
@@ -1490,87 +1488,8 @@ void CommitStaged(StagedSnapshot* s, PipelineContext* ctx) {
   }
 }
 
-// --- v1: monolithic payload (write + read back) ----------------------------
+// --- v1: monolithic payload (read only) -----------------------------------
 // Byte-for-byte the PR 2 format; the golden fixture in tests/data/ pins it.
-
-Status SaveSessionSnapshotV1(const PipelineContext& ctx, int valid_through,
-                             const std::string& path) {
-  const Table& table = ctx.dataset->dirty();
-  const Schema& schema = table.schema();
-
-  BinaryWriter payload;
-  payload.WriteU64(ConfigFingerprint(ctx.config));
-  payload.WriteU64(schema.num_attrs());
-  for (const std::string& name : schema.names()) payload.WriteString(name);
-  payload.WriteU64(table.num_rows());
-  payload.WriteU64(DcsFingerprint(*ctx.dcs, schema));
-  payload.WriteU64(
-      ExternalDataFingerprint(ctx.dicts, ctx.mds, ctx.extra_detectors));
-
-  // Dictionary + cell values: pins mutate the table and compilation interns
-  // matched values, and every persisted artifact references both by id.
-  const Dictionary& dict = table.dict();
-  payload.WriteU64(dict.size());
-  for (size_t i = 0; i < dict.size(); ++i) {
-    payload.WriteString(dict.GetString(static_cast<ValueId>(i)));
-  }
-  for (size_t a = 0; a < schema.num_attrs(); ++a) {
-    for (ValueId v : table.Column(static_cast<AttrId>(a))) {
-      payload.WriteI32(v);
-    }
-  }
-
-  payload.WriteI32(valid_through);
-  const RunStats& stats = ctx.report.stats;
-  payload.WriteU64(stats.num_violations);
-  payload.WriteU64(stats.num_noisy_cells);
-  payload.WriteU64(stats.num_query_vars);
-  payload.WriteU64(stats.num_evidence_vars);
-  payload.WriteU64(stats.num_candidates);
-  payload.WriteU64(stats.num_dc_factors);
-  payload.WriteU64(stats.num_grounded_factors);
-
-  if (valid_through > static_cast<int>(StageId::kDetect)) {
-    WriteI32Vec(&payload, ctx.attrs);
-    SerializeViolations(ctx.violations, SectionCodec::kRaw, &payload);
-    WriteCellVec(&payload, ctx.noisy.cells());
-  }
-  if (valid_through > static_cast<int>(StageId::kCompile)) {
-    WriteCellVec(&payload, ctx.query_cells);
-    WriteCellVec(&payload, ctx.evidence_cells);
-    SerializeDomains(ctx.domains, SectionCodec::kRaw, &payload);
-    SerializeProgram(ctx.program, &payload);
-    SerializeFactorGraph(ctx.graph, SectionCodec::kRaw, &payload);
-    payload.WriteU64(ctx.grounder_stats.num_query_vars);
-    payload.WriteU64(ctx.grounder_stats.num_evidence_vars);
-    payload.WriteU64(ctx.grounder_stats.num_feature_instances);
-    payload.WriteU64(ctx.grounder_stats.num_dc_factors);
-    payload.WriteU64(ctx.grounder_stats.num_dc_pairs_considered);
-    payload.WriteU64(ctx.ground_runs);
-    payload.WriteString(ctx.report.ddlog);
-  }
-  if (valid_through > static_cast<int>(StageId::kLearn)) {
-    SerializeWeightStore(ctx.weights, SectionCodec::kRaw, &payload);
-  }
-  if (valid_through > static_cast<int>(StageId::kInfer)) {
-    SerializeMarginals(ctx.marginals, SectionCodec::kRaw, &payload);
-  }
-  if (valid_through == kNumStages) {
-    SerializeRepairs(ctx.report.repairs, SectionCodec::kRaw, &payload);
-    SerializePosteriors(ctx.report.posteriors, SectionCodec::kRaw, &payload);
-  }
-
-  // Header and checksum are built separately so the multi-MiB body is
-  // never copied into a second buffer on its way to disk.
-  const std::string& body = payload.buffer();
-  BinaryWriter header;
-  header.WriteBytes(std::string_view(kMagic, sizeof(kMagic)));
-  header.WriteU32(kSnapshotFormatV1);
-  header.WriteU64(body.size());
-  BinaryWriter trailer;
-  trailer.WriteU64(HashBytes(body));
-  return WriteFileAtomic(path, {header.buffer(), body, trailer.buffer()});
-}
 
 /// Parses a v1 payload (everything after the 16-byte header, checksum
 /// already verified) into staging storage. `num_dcs` bounds the factor
@@ -2368,13 +2287,6 @@ Status SaveSessionSnapshot(const PipelineContext& ctx, int valid_through,
     return Status::InvalidArgument(
         "cannot save a lazily restored session before its factor graph "
         "materializes (call PipelineContext::EnsureGraph)");
-  }
-  if (options.format_version == kSnapshotFormatV1) {
-    return SaveSessionSnapshotV1(ctx, valid_through, path);
-  }
-  if (options.format_version != kSnapshotFormatVersion) {
-    return Status::InvalidArgument("unsupported snapshot format version: v" +
-                                   std::to_string(options.format_version));
   }
   return SaveSessionSnapshotV2(ctx, valid_through, path, options.codec);
 }

@@ -18,17 +18,14 @@ namespace holoclean {
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// The original monolithic format of PR 2. Still fully readable (the
-/// back-compat contract is pinned by the golden fixture in tests/data/)
-/// and writable via SnapshotSaveOptions for comparison benchmarks.
+/// back-compat contract is pinned by the golden fixture in tests/data/);
+/// this build no longer writes it.
 inline constexpr uint32_t kSnapshotFormatV1 = 1;
 
 struct SnapshotSaveOptions {
   /// Codec for the artifact sections (the meta and dictionary sections are
   /// always raw: they are tiny and every reader needs them first).
-  /// Ignored for v1, which predates section codecs.
   SectionCodec codec = SectionCodec::kPacked;
-  /// Format to write: kSnapshotFormatVersion or kSnapshotFormatV1.
-  uint32_t format_version = kSnapshotFormatVersion;
 };
 
 struct SnapshotLoadOptions {

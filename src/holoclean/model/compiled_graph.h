@@ -35,8 +35,8 @@ struct CompiledGraphOptions {
 ///    std::vector<double> indexed by these ids instead of hashing into the
 ///    WeightStore per activation. The WeightStore stays the sparse
 ///    persisted/introspection view; GatherWeights/ScatterWeights convert at
-///    stage boundaries so snapshots remain bit-compatible with the
-///    reference path.
+///    stage boundaries so snapshots stay bit-identical to the FactorGraph
+///    interpreter (the reference in tests/oracle/).
 ///  - CSR arenas: per-variable candidate offsets, flat prior biases, and a
 ///    global feature arena (weight id + activation), plus CSR
 ///    factors-of-variable adjacency. One pointer chase per span instead of
@@ -45,9 +45,9 @@ struct CompiledGraphOptions {
 ///    once per combination of its query variables' candidate indices, so
 ///    Gibbs factor scoring becomes an array lookup.
 ///
-/// Every score a CompiledGraph produces is bit-identical to the reference
-/// FactorGraph path: the arrays preserve feature and factor order, the
-/// dense values mirror WeightStore::Get exactly, and the tables are
+/// Every score a CompiledGraph produces is bit-identical to interpreting
+/// the FactorGraph directly: the arrays preserve feature and factor order,
+/// the dense values mirror WeightStore::Get exactly, and the tables are
 /// precomputed with the same evaluator the fallback uses.
 ///
 /// The compiled view borrows nothing: it copies what it needs at Build
@@ -120,10 +120,9 @@ class CompiledGraph {
   std::vector<double> GatherWeights(const WeightStore& sparse) const;
 
   /// Writes trained dense values back into the sparse store. Only ids
-  /// flagged in `touched` are Set — exactly the keys the reference SGD
-  /// loop would have created or updated — so the store's entry set (and
-  /// therefore its serialized form) matches the reference path bit for
-  /// bit.
+  /// flagged in `touched` are Set — exactly the keys a per-activation
+  /// SGD loop over the store would have created or updated — so the
+  /// store's entry set (and therefore its serialized form) is the same.
   void ScatterWeights(const std::vector<double>& dense,
                       const std::vector<uint8_t>& touched,
                       WeightStore* sparse) const;
@@ -148,8 +147,9 @@ class CompiledGraph {
   }
 
   /// Unary score of candidate `k` of `var_id` under the dense parameters:
-  /// same accumulation order as FactorGraph::UnaryScore, so the result is
-  /// bit-identical when `dense` mirrors the WeightStore.
+  /// the prior bias plus the weighted feature activations, accumulated in
+  /// feature order, so the result is bit-identical to summing over the
+  /// Variable's features when `dense` mirrors the WeightStore.
   double UnaryScore(int var_id, int k, const std::vector<double>& dense) const {
     size_t c = static_cast<size_t>(cand_begin_[static_cast<size_t>(var_id)]) +
                static_cast<size_t>(k);

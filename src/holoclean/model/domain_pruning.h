@@ -43,17 +43,10 @@ struct DomainPruningOptions {
 /// Algorithm 2 of the paper: candidate repairs for every cell in `cells`
 /// are the values of the cell's attribute that co-occur with the tuple's
 /// other cell values with conditional probability >= τ. The observed value
-/// is always a candidate.
-PrunedDomains PruneDomains(const Table& table,
-                           const std::vector<CellRef>& cells,
-                           const std::vector<AttrId>& attrs,
-                           const CooccurrenceStats& cooc,
-                           const DomainPruningOptions& options);
-
-/// Same candidate sets as PruneDomains (bit-identical per cell), produced
-/// the columnar way: cells fan out across the pool and per-cell scoring
-/// runs on flat (value, count) runs — sort + keep-max-per-value — instead
-/// of a hash map per cell.
+/// is always a candidate. Cells fan out across the pool, and per-cell
+/// scoring runs on flat (value, count) runs — sort + keep-max-per-value —
+/// instead of a hash map per cell (the per-cell hash-map version is the
+/// reference in tests/oracle/).
 PrunedDomains PruneDomainsColumnar(const Table& table,
                                    const std::vector<CellRef>& cells,
                                    const std::vector<AttrId>& attrs,

@@ -33,18 +33,6 @@ int FactorGraph::VarOfCell(const CellRef& cell) const {
   return it == var_of_cell_.end() ? -1 : it->second;
 }
 
-double FactorGraph::UnaryScore(int var_id, int k,
-                               const WeightStore& weights) const {
-  const Variable& var = vars_[static_cast<size_t>(var_id)];
-  double score = var.prior_bias[static_cast<size_t>(k)];
-  for (int32_t i = var.feat_begin[static_cast<size_t>(k)];
-       i < var.feat_begin[static_cast<size_t>(k) + 1]; ++i) {
-    const FeatureInstance& f = var.features[static_cast<size_t>(i)];
-    score += weights.Get(f.weight_key) * f.activation;
-  }
-  return score;
-}
-
 size_t FactorGraph::NumGroundedFactors() const {
   size_t n = dc_factors_.size();
   for (const Variable& var : vars_) {

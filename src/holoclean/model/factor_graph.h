@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "holoclean/constraints/denial_constraint.h"
-#include "holoclean/model/weight_store.h"
 #include "holoclean/storage/table.h"
 
 namespace holoclean {
@@ -78,10 +77,6 @@ class FactorGraph {
   const std::vector<int32_t>& query_vars() const { return query_vars_; }
   /// Ids of evidence variables.
   const std::vector<int32_t>& evidence_vars() const { return evidence_vars_; }
-
-  /// Unary score of candidate `k` of variable `var_id` under `weights`:
-  /// prior bias plus the weighted feature activations.
-  double UnaryScore(int var_id, int k, const WeightStore& weights) const;
 
   /// Total number of grounded factors: one per (candidate, feature
   /// instance) plus the DC factors. This is the "factor graph size" the

@@ -225,12 +225,12 @@ Result<Variable> Grounder::BuildVariable(const CellRef& cell,
   bool relax_dcs =
       opt_.dc_mode == DcMode::kFeatures || opt_.dc_mode == DcMode::kBoth;
 
-  // Columnar grounding resolves the tuple's context once per cell — the
-  // context value, its count, and the co-occurrence run for this attribute
-  // pair — so the per-candidate loop binary-searches an id-sorted run
-  // instead of hashing into the statistics per candidate. The emitted
-  // features (order and float values) are identical: the conditional
-  // probability is computed from the same numerator and denominator.
+  // The tuple's context is resolved once per cell — the context value, its
+  // count, and the co-occurrence run for this attribute pair — so the
+  // per-candidate loop binary-searches an id-sorted run instead of hashing
+  // into the statistics per candidate. Each conditional probability is
+  // exactly CooccurrenceStats::CondProb: the same numerator and
+  // denominator.
   struct CtxRun {
     AttrId a_ctx;
     ValueId v_ctx;
@@ -238,19 +238,17 @@ Result<Variable> Grounder::BuildVariable(const CellRef& cell,
     const std::vector<std::pair<ValueId, int>>* run;
   };
   std::vector<CtxRun> contexts;
-  if (opt_.columnar) {
-    contexts.reserve(in_.attrs->size());
-    for (AttrId a_ctx : *in_.attrs) {
-      if (a_ctx == cell.attr) continue;
-      ValueId v_ctx = table.Get(cell.tid, a_ctx);
-      if (v_ctx == Dictionary::kNull) continue;
-      CtxRun ctx{a_ctx, v_ctx, 0, nullptr};
-      if (in_.cooc != nullptr) {
-        ctx.ctx_count = in_.cooc->Count(a_ctx, v_ctx);
-        ctx.run = &in_.cooc->CooccurringValues(cell.attr, a_ctx, v_ctx);
-      }
-      contexts.push_back(ctx);
+  contexts.reserve(in_.attrs->size());
+  for (AttrId a_ctx : *in_.attrs) {
+    if (a_ctx == cell.attr) continue;
+    ValueId v_ctx = table.Get(cell.tid, a_ctx);
+    if (v_ctx == Dictionary::kNull) continue;
+    CtxRun ctx{a_ctx, v_ctx, 0, nullptr};
+    if (in_.cooc != nullptr) {
+      ctx.ctx_count = in_.cooc->Count(a_ctx, v_ctx);
+      ctx.run = &in_.cooc->CooccurringValues(cell.attr, a_ctx, v_ctx);
     }
+    contexts.push_back(ctx);
   }
 
   var.feat_begin.push_back(0);
@@ -263,44 +261,22 @@ Result<Variable> Grounder::BuildVariable(const CellRef& cell,
     // Two flavours per context: the paper's per-(d,f) indicator with weight
     // w(d,f), and a probability-valued feature shared per attribute pair so
     // the statistics signal generalizes where w(d,f) lacks training data.
-    if (opt_.columnar) {
-      for (const CtxRun& ctx : contexts) {
-        var.features.push_back(
-            {WeightKeyCodec::Pack(FeatureKind::kCooccurrence, au,
-                                  static_cast<uint32_t>(ctx.a_ctx),
-                                  static_cast<uint32_t>(ctx.v_ctx), du),
-             1.0f});
-        if (ctx.run != nullptr && ctx.ctx_count > 0) {
-          auto it = std::lower_bound(ctx.run->begin(), ctx.run->end(),
-                                     std::make_pair(d, 0));
-          if (it != ctx.run->end() && it->first == d) {
-            double p = static_cast<double>(it->second) /
-                       static_cast<double>(ctx.ctx_count);
-            var.features.push_back(
-                {WeightKeyCodec::Pack(FeatureKind::kCondProb, au,
-                                      static_cast<uint32_t>(ctx.a_ctx), 0, 0),
-                 static_cast<float>(p)});
-          }
-        }
-      }
-    } else {
-      for (AttrId a_ctx : *in_.attrs) {
-        if (a_ctx == cell.attr) continue;
-        ValueId v_ctx = table.Get(cell.tid, a_ctx);
-        if (v_ctx == Dictionary::kNull) continue;
-        var.features.push_back(
-            {WeightKeyCodec::Pack(FeatureKind::kCooccurrence, au,
-                                  static_cast<uint32_t>(a_ctx),
-                                  static_cast<uint32_t>(v_ctx), du),
-             1.0f});
-        if (in_.cooc != nullptr) {
-          double p = in_.cooc->CondProb(cell.attr, d, a_ctx, v_ctx);
-          if (p > 0.0) {
-            var.features.push_back(
-                {WeightKeyCodec::Pack(FeatureKind::kCondProb, au,
-                                      static_cast<uint32_t>(a_ctx), 0, 0),
-                 static_cast<float>(p)});
-          }
+    for (const CtxRun& ctx : contexts) {
+      var.features.push_back(
+          {WeightKeyCodec::Pack(FeatureKind::kCooccurrence, au,
+                                static_cast<uint32_t>(ctx.a_ctx),
+                                static_cast<uint32_t>(ctx.v_ctx), du),
+           1.0f});
+      if (ctx.run != nullptr && ctx.ctx_count > 0) {
+        auto it = std::lower_bound(ctx.run->begin(), ctx.run->end(),
+                                   std::make_pair(d, 0));
+        if (it != ctx.run->end() && it->first == d) {
+          double p = static_cast<double>(it->second) /
+                     static_cast<double>(ctx.ctx_count);
+          var.features.push_back(
+              {WeightKeyCodec::Pack(FeatureKind::kCondProb, au,
+                                    static_cast<uint32_t>(ctx.a_ctx), 0, 0),
+               static_cast<float>(p)});
         }
       }
     }

@@ -54,10 +54,6 @@ struct GroundingOptions {
   /// Optional worker pool: variables are grounded in parallel (the result
   /// is identical to the sequential order).
   ThreadPool* pool = nullptr;
-  /// Ground from precomputed per-cell context runs (value-id lists shared
-  /// with the co-occurrence index) instead of per-candidate stat lookups.
-  /// Same factor graph bit-for-bit; the row path is kept as the reference.
-  bool columnar = true;
 };
 
 /// Everything the grounder reads. All pointers are borrowed and must

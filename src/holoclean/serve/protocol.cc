@@ -260,10 +260,6 @@ Status ApplyConfigOverrides(const JsonValue& overrides,
       HOLO_RETURN_NOT_OK(integer(&config->gibbs_burn_in));
     } else if (key == "gibbs_samples") {
       HOLO_RETURN_NOT_OK(integer(&config->gibbs_samples));
-    } else if (key == "compiled_kernel") {
-      HOLO_RETURN_NOT_OK(boolean(&config->compiled_kernel));
-    } else if (key == "columnar") {
-      HOLO_RETURN_NOT_OK(boolean(&config->columnar));
     } else if (key == "seed") {
       if (!value.is_number()) {
         return Status::InvalidArgument("config.seed must be a number");

@@ -75,9 +75,7 @@ JsonValue ConfigToJson(const HoloCleanConfig& c) {
   j.Set("max_training_cells", JsonValue::Number(static_cast<uint64_t>(c.max_training_cells)));
   j.Set("gibbs_burn_in", JsonValue::Number(c.gibbs_burn_in));
   j.Set("gibbs_samples", JsonValue::Number(c.gibbs_samples));
-  j.Set("compiled_kernel", JsonValue::Bool(c.compiled_kernel));
   j.Set("dc_table_cap", JsonValue::Number(static_cast<uint64_t>(c.dc_table_cap)));
-  j.Set("columnar", JsonValue::Bool(c.columnar));
   j.Set("seed", JsonValue::Number(static_cast<uint64_t>(c.seed)));
   j.Set("num_threads", JsonValue::Number(static_cast<uint64_t>(c.num_threads)));
   return j;
@@ -110,10 +108,8 @@ HoloCleanConfig ConfigFromJson(const JsonValue& j) {
       "max_training_cells", static_cast<int64_t>(c.max_training_cells)));
   c.gibbs_burn_in = static_cast<int>(j.GetInt("gibbs_burn_in", c.gibbs_burn_in));
   c.gibbs_samples = static_cast<int>(j.GetInt("gibbs_samples", c.gibbs_samples));
-  c.compiled_kernel = j.GetBool("compiled_kernel", c.compiled_kernel);
   c.dc_table_cap = static_cast<size_t>(
       j.GetInt("dc_table_cap", static_cast<int64_t>(c.dc_table_cap)));
-  c.columnar = j.GetBool("columnar", c.columnar);
   c.seed = static_cast<uint64_t>(j.GetInt("seed", static_cast<int64_t>(c.seed)));
   c.num_threads = static_cast<size_t>(
       j.GetInt("num_threads", static_cast<int64_t>(c.num_threads)));

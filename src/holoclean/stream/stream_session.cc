@@ -109,7 +109,6 @@ Result<Report> StreamSession::AppendRows(
   ViolationDetector::Options dopt;
   dopt.sim_threshold = ctx.config.sim_threshold;
   dopt.pool = ctx.pool;
-  dopt.columnar = ctx.config.columnar;
   ViolationDetector detector(&dirty, ctx.dcs, dopt);
   DeltaDetectResult delta = detector.DetectAppended(old_rows);
   DetectResult merged = ViolationDetector::MergeAppendDelta(
@@ -194,13 +193,19 @@ Result<Report> StreamSession::AppendRows(
 Status StreamSession::WarmAppend(size_t old_rows, StreamBatchStats* batch) {
   HOLO_RETURN_NOT_OK(HOLO_FAILPOINT("stream.append.ground"));
   PipelineContext& ctx = session_->context();
+  // A lazily restored graph must be in place before it is extended.
+  HOLO_RETURN_NOT_OK(ctx.EnsureGraph());
   Table& dirty = ctx.dataset->dirty();
   const HoloCleanConfig& config = ctx.config;
 
   // Statistics first: the batch's domains must be pruned against the
   // grown-table co-occurrence counts (exactly what a full re-compile
-  // would see).
-  ctx.cooc.AppendRows(dirty, ctx.attrs, old_rows);
+  // would see). A restored session has none yet: count the grown table.
+  if (ctx.cooc.empty()) {
+    ctx.cooc = CooccurrenceStats::BuildColumnar(dirty, ctx.attrs, ctx.pool);
+  } else {
+    ctx.cooc.AppendRows(dirty, ctx.attrs, old_rows);
+  }
 
   // New query cells: noisy cells with no variable yet (the batch's own
   // noisy cells, plus old cells the batch newly implicates) and evidence
@@ -240,11 +245,8 @@ Status StreamSession::WarmAppend(size_t old_rows, StreamBatchStats* batch) {
   std::vector<CellRef> delta_cells = query_delta;
   delta_cells.insert(delta_cells.end(), evidence_delta.begin(),
                      evidence_delta.end());
-  PrunedDomains pruned =
-      config.columnar
-          ? PruneDomainsColumnar(dirty, delta_cells, ctx.attrs, ctx.cooc,
-                                 popt, ctx.pool)
-          : PruneDomains(dirty, delta_cells, ctx.attrs, ctx.cooc, popt);
+  PrunedDomains pruned = PruneDomainsColumnar(dirty, delta_cells, ctx.attrs,
+                                              ctx.cooc, popt, ctx.pool);
   for (auto& entry : pruned.candidates) {
     ctx.domains.candidates[entry.first] = std::move(entry.second);
   }
@@ -284,10 +286,13 @@ Status StreamSession::WarmAppend(size_t old_rows, StreamBatchStats* batch) {
 
   // Extend the compiled arenas in place (the append-only CSR tail). The
   // const view is only shared within this session; EnsureCompiled builds
-  // it mutable.
+  // it mutable. A session without one (e.g. just restored from a
+  // snapshot) compiles the grown graph whole.
   if (ctx.compiled != nullptr) {
     std::const_pointer_cast<CompiledGraph>(ctx.compiled)
         ->AppendVariables(ctx.graph, first_var);
+  } else {
+    HOLO_RETURN_NOT_OK(ctx.EnsureCompiled());
   }
 
   // Warm-start weights: keys the batch introduced (new values, new
@@ -326,8 +331,8 @@ Status StreamSession::WarmAppend(size_t old_rows, StreamBatchStats* batch) {
       lopt.l2 = config.l2;
       lopt.seed = config.seed ^ 0x5851F42D4C957F2DULL ^
                   (stats_.batches + 1);
-      SgdLearner learner(&ctx.graph, lopt);
-      learner.TrainOn(new_evidence_vars, &ctx.weights);
+      SgdLearner(lopt).TrainOn(*ctx.compiled, new_evidence_vars,
+                               &ctx.weights);
     }
   }
   return Status::OK();

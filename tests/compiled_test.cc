@@ -1,8 +1,9 @@
 // Differential tests for the compiled inference kernel: CompiledGraph
 // scores, learned weights, marginals, and sampled repairs must be
-// bit-identical to the reference FactorGraph path — including across the
-// violation-table fallback boundary and for any thread count — and
-// snapshots written under either kernel must be byte-identical.
+// bit-identical to the FactorGraph interpreters in tests/oracle/ —
+// including across the violation-table fallback boundary and for any
+// thread count — and a snapshot of oracle-computed artifacts must be
+// byte-identical to the production one.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "holoclean/constraints/parser.h"
 #include "holoclean/core/engine.h"
+#include "holoclean/data/food.h"
 #include "holoclean/data/hospital.h"
 #include "holoclean/infer/gibbs.h"
 #include "holoclean/infer/learner.h"
@@ -22,6 +24,7 @@
 #include "holoclean/io/session_snapshot.h"
 #include "holoclean/model/compiled_graph.h"
 #include "holoclean/util/rng.h"
+#include "oracle/oracle.h"
 
 #include "session_helpers.h"
 
@@ -115,8 +118,8 @@ TEST(CompiledGraph, UnaryScoresBitIdenticalOnRandomGraphs) {
       ASSERT_EQ(compiled.NumCandidates(static_cast<int>(v)),
                 static_cast<int32_t>(var.NumCandidates()));
       for (size_t k = 0; k < var.NumCandidates(); ++k) {
-        double ref = graph.UnaryScore(static_cast<int>(v),
-                                      static_cast<int>(k), weights);
+        double ref = oracle::UnaryScore(graph, static_cast<int>(v),
+                                        static_cast<int>(k), weights);
         double comp = compiled.UnaryScore(static_cast<int>(v),
                                           static_cast<int>(k), dense);
         EXPECT_EQ(ref, comp) << "seed " << seed << " var " << v
@@ -136,25 +139,29 @@ TEST(CompiledGraph, LearnedWeightsAndNllBitIdentical) {
     LearnerOptions options;
     options.epochs = 7;
     options.seed = seed * 31;
-    SgdLearner learner(&graph, options);
+    SgdLearner learner(options);
 
     WeightStore ref = RandomWeights(seed ^ 0x1234ULL, graph);
     WeightStore comp = ref;  // Same starting parameters.
-    std::vector<double> ref_nll = learner.Train(&ref);
+    std::vector<double> ref_nll =
+        oracle::TrainSgd(graph, graph.evidence_vars(), options, &ref);
     std::vector<double> comp_nll = learner.Train(compiled, &comp);
-
-    ASSERT_EQ(ref_nll.size(), comp_nll.size());
-    for (size_t e = 0; e < ref_nll.size(); ++e) {
-      EXPECT_EQ(ref_nll[e], comp_nll[e]) << "epoch " << e;
-    }
+    ASSERT_FALSE(ref_nll.empty());
+    EXPECT_EQ(ref_nll, comp_nll);
     // The stores match entry for entry — same keys present (the lazy
     // create-on-touch semantics), same exact values.
-    ASSERT_EQ(ref.raw().size(), comp.raw().size());
-    for (const auto& [key, value] : ref.raw()) {
-      auto it = comp.raw().find(key);
-      ASSERT_NE(it, comp.raw().end()) << "missing key " << key;
-      EXPECT_EQ(value, it->second) << "key " << key;
+    EXPECT_EQ(ref.raw(), comp.raw());
+
+    // Warm refinement over a subset of the evidence (the streaming tier's
+    // TrainOn), starting from the trained weights.
+    std::vector<int32_t> subset;
+    for (size_t i = 0; i < graph.evidence_vars().size(); i += 2) {
+      subset.push_back(graph.evidence_vars()[i]);
     }
+    options.seed = seed * 37;
+    EXPECT_EQ(oracle::TrainSgd(graph, subset, options, &ref),
+              SgdLearner(options).TrainOn(compiled, subset, &comp));
+    EXPECT_EQ(ref.raw(), comp.raw());
   }
 }
 
@@ -177,10 +184,9 @@ TEST(CompiledGraph, UntouchedWeightsStayAbsentFromTheStore) {
   std::vector<DenialConstraint> dcs;
   CompiledGraph compiled = CompiledGraph::Build(graph, table, dcs);
 
-  SgdLearner learner(&graph, LearnerOptions{});
   WeightStore ref, comp;
-  learner.Train(&ref);
-  learner.Train(compiled, &comp);
+  oracle::TrainSgd(graph, graph.evidence_vars(), LearnerOptions{}, &ref);
+  SgdLearner(LearnerOptions{}).Train(compiled, &comp);
   EXPECT_EQ(ref.raw().count(77), 0u);
   EXPECT_EQ(comp.raw().count(77), 0u);
   EXPECT_EQ(ref.raw().size(), comp.raw().size());
@@ -193,7 +199,7 @@ TEST(CompiledGraph, ExactMarginalsBitIdentical) {
   std::vector<DenialConstraint> dcs;
   CompiledGraph compiled = CompiledGraph::Build(graph, table, dcs);
 
-  Marginals ref = ExactIndependentMarginals(graph, weights);
+  Marginals ref = oracle::ExactIndependentMarginals(graph, weights);
   Marginals comp = ExactIndependentMarginals(compiled, weights);
   ASSERT_EQ(ref.probs().size(), comp.probs().size());
   for (size_t v = 0; v < ref.probs().size(); ++v) {
@@ -217,16 +223,27 @@ HoloCleanConfig FactorConfig() {
   return config;
 }
 
-/// One full pipeline run over its own hospital instance. Owns the dataset
-/// the session borrows, so sessions stay inspectable after the run.
+HoloCleanConfig KernelConfig(size_t dc_table_cap, size_t num_threads) {
+  HoloCleanConfig c = FactorConfig();
+  c.dc_table_cap = dc_table_cap;
+  c.num_threads = num_threads;
+  return c;
+}
+
+GeneratedData Hospital(size_t rows, uint64_t seed = 101) {
+  HospitalOptions options;
+  options.num_rows = rows;
+  options.seed = seed;
+  return MakeHospital(options);
+}
+
+/// One full pipeline run over its own data instance. Owns the dataset the
+/// session borrows, so sessions stay inspectable after the run.
 struct RunInstance {
-  explicit RunInstance(const HoloCleanConfig& config)
-      : data([] {
-          HospitalOptions options;
-          options.num_rows = 150;
-          return MakeHospital(options);
-        }()) {
-    auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
+  RunInstance(const HoloCleanConfig& config, GeneratedData generated)
+      : data(std::move(generated)) {
+    auto opened = OpenStandaloneSession(
+        CleaningInputs::Borrowed(&data.dataset, &data.dcs), {config});
     EXPECT_TRUE(opened.ok()) << opened.status();
     if (!opened.ok()) return;
     session.emplace(std::move(opened).value());
@@ -234,20 +251,13 @@ struct RunInstance {
     EXPECT_TRUE(run.ok()) << run.status();
     if (run.ok()) report = run.value();
   }
+  explicit RunInstance(const HoloCleanConfig& config)
+      : RunInstance(config, Hospital(150)) {}
 
   GeneratedData data;
   std::optional<Session> session;
   Report report;
 };
-
-HoloCleanConfig KernelConfig(bool compiled_kernel, size_t dc_table_cap,
-                             size_t num_threads) {
-  HoloCleanConfig c = FactorConfig();
-  c.compiled_kernel = compiled_kernel;
-  c.dc_table_cap = dc_table_cap;
-  c.num_threads = num_threads;
-  return c;
-}
 
 void ExpectReportsBitIdentical(const Report& a, const Report& b) {
   ASSERT_EQ(a.repairs.size(), b.repairs.size());
@@ -266,24 +276,39 @@ void ExpectReportsBitIdentical(const Report& a, const Report& b) {
 }
 
 TEST(CompiledKernel, GibbsRepairsBitIdenticalToReference) {
-  RunInstance ref(KernelConfig(/*compiled=*/false, 4096, /*threads=*/1));
-  RunInstance comp(KernelConfig(/*compiled=*/true, 4096, /*threads=*/1));
-  EXPECT_FALSE(ref.report.repairs.empty());
-  ExpectReportsBitIdentical(ref.report, comp.report);
+  for (uint64_t seed : {101u, 102u, 103u}) {
+    RunInstance run(KernelConfig(4096, /*threads=*/1), Hospital(150, seed));
+    ASSERT_TRUE(run.session.has_value());
+    EXPECT_GT(run.report.stats.num_dc_factors, 0u);
+    EXPECT_EQ(oracle::DiffPipeline(run.session->context()), "")
+        << "hospital seed " << seed;
+  }
+  // The Food profile: many distinct values, so larger candidate sets and
+  // violation tables.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    RunInstance run(KernelConfig(4096, /*threads=*/2),
+                    MakeFood({300, 0.06, seed}));
+    ASSERT_TRUE(run.session.has_value());
+    EXPECT_GT(run.report.stats.num_dc_factors, 0u);
+    EXPECT_EQ(oracle::DiffPipeline(run.session->context()), "")
+        << "food seed " << seed;
+  }
 }
 
 TEST(CompiledKernel, BitIdenticalForAnyThreadCount) {
-  RunInstance ref(KernelConfig(/*compiled=*/false, 4096, /*threads=*/1));
-  RunInstance comp_pool(KernelConfig(/*compiled=*/true, 4096, /*threads=*/0));
-  ExpectReportsBitIdentical(ref.report, comp_pool.report);
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
+    RunInstance run(KernelConfig(4096, threads));
+    ASSERT_TRUE(run.session.has_value());
+    EXPECT_EQ(oracle::DiffPipeline(run.session->context()), "")
+        << threads << " threads";
+  }
 }
 
 TEST(CompiledKernel, FallbackBoundaryBitIdentical) {
-  RunInstance ref(KernelConfig(/*compiled=*/false, 4096, 1));
-
   // Cap 0: every factor falls back to the evaluator path.
-  RunInstance all_fallback(KernelConfig(/*compiled=*/true, 0, 1));
-  ExpectReportsBitIdentical(ref.report, all_fallback.report);
+  RunInstance all_fallback(KernelConfig(0, 1));
+  ASSERT_TRUE(all_fallback.session.has_value());
+  EXPECT_EQ(oracle::DiffPipeline(all_fallback.session->context()), "");
   const auto& fb = all_fallback.session->context().compiled;
   ASSERT_NE(fb, nullptr);
   EXPECT_EQ(fb->stats().num_tabled_factors, 0u);
@@ -291,35 +316,35 @@ TEST(CompiledKernel, FallbackBoundaryBitIdentical) {
 
   // A small cap right at the boundary: some factors tabled, some fall
   // back — both paths must agree inside one sampler run.
-  RunInstance mixed(KernelConfig(/*compiled=*/true, 16, 1));
-  ExpectReportsBitIdentical(ref.report, mixed.report);
+  RunInstance mixed(KernelConfig(16, 1));
+  ASSERT_TRUE(mixed.session.has_value());
+  EXPECT_EQ(oracle::DiffPipeline(mixed.session->context()), "");
   const auto& mx = mixed.session->context().compiled;
   ASSERT_NE(mx, nullptr);
   EXPECT_GT(mx->stats().num_tabled_factors, 0u);
+  EXPECT_GT(mx->stats().num_fallback_factors, 0u);
 
   // Default cap.
-  RunInstance tabled(KernelConfig(/*compiled=*/true, 4096, 1));
-  ExpectReportsBitIdentical(ref.report, tabled.report);
+  RunInstance tabled(KernelConfig(4096, 1));
+  ASSERT_TRUE(tabled.session.has_value());
+  EXPECT_EQ(oracle::DiffPipeline(tabled.session->context()), "");
   const auto& tb = tabled.session->context().compiled;
   ASSERT_NE(tb, nullptr);
   EXPECT_GT(tb->stats().table_entries, 0u);
+  ExpectReportsBitIdentical(all_fallback.report, tabled.report);
+  ExpectReportsBitIdentical(mixed.report, tabled.report);
 }
 
-TEST(CompiledKernel, ViolationTablesMatchEvaluatorExhaustively) {
-  HospitalOptions options;
-  options.num_rows = 150;
-  GeneratedData fresh = MakeHospital(options);
-  auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&fresh.dataset, &fresh.dcs), {FactorConfig()});
-  ASSERT_TRUE(opened.ok());
-  Session session = std::move(opened).value();
-  ASSERT_TRUE(session.RunThrough(StageId::kCompile).ok());
-
-  const FactorGraph& graph = session.context().graph;
-  const Table& table = fresh.dataset.dirty();
-  CompiledGraph compiled = CompiledGraph::Build(graph, table, fresh.dcs);
-  ASSERT_GT(compiled.stats().num_tabled_factors, 0u);
-
-  DcEvaluator evaluator(&table);
+/// Enumerates every candidate combination of every tabled factor and
+/// checks the table verdict against `evaluator`. Returns the number of
+/// combinations checked; `differs_at_08` counts the combinations whose
+/// verdict under a default-threshold evaluator differs from `evaluator`'s.
+size_t CheckViolationTables(const FactorGraph& graph,
+                            const CompiledGraph& compiled, const Table& table,
+                            const std::vector<DenialConstraint>& dcs,
+                            const DcEvaluator& evaluator,
+                            size_t* differs_at_08 = nullptr) {
+  DcEvaluator default_evaluator(&table, 0.8);
   std::vector<CellOverride> overrides;
   size_t checked = 0;
   for (size_t fid = 0; fid < graph.dc_factors().size(); ++fid) {
@@ -338,15 +363,21 @@ TEST(CompiledKernel, ViolationTablesMatchEvaluatorExhaustively) {
             static_cast<int>(combo[i]);
         overrides.push_back({var.cell, var.domain[combo[i]]});
       }
-      bool expected = evaluator.ViolatesWith(
-          fresh.dcs[static_cast<size_t>(factor.dc_index)], factor.t1,
-          factor.t2, overrides);
+      const DenialConstraint& dc = dcs[static_cast<size_t>(factor.dc_index)];
+      bool expected =
+          evaluator.ViolatesWith(dc, factor.t1, factor.t2, overrides);
+      if (differs_at_08 != nullptr &&
+          default_evaluator.ViolatesWith(dc, factor.t1, factor.t2,
+                                         overrides) != expected) {
+        ++*differs_at_08;
+      }
       // Score through the first factor variable; the others read from
       // `assignment`.
       bool got = compiled.TableViolated(
           static_cast<int>(fid), factor.var_ids[0],
           static_cast<int>(combo[0]), assignment);
-      ASSERT_EQ(expected, got) << "factor " << fid;
+      EXPECT_EQ(expected, got) << "factor " << fid;
+      if (expected != got) return checked;
       ++checked;
       for (size_t i = factor.var_ids.size(); i-- > 0;) {
         const Variable& var = graph.variable(factor.var_ids[i]);
@@ -356,7 +387,64 @@ TEST(CompiledKernel, ViolationTablesMatchEvaluatorExhaustively) {
       }
     }
   }
-  EXPECT_GT(checked, 0u);
+  return checked;
+}
+
+TEST(CompiledKernel, ViolationTablesMatchEvaluatorExhaustively) {
+  GeneratedData fresh = Hospital(150);
+  auto opened = OpenStandaloneSession(CleaningInputs::Borrowed(&fresh.dataset, &fresh.dcs), {FactorConfig()});
+  ASSERT_TRUE(opened.ok());
+  Session session = std::move(opened).value();
+  ASSERT_TRUE(session.RunThrough(StageId::kCompile).ok());
+
+  const FactorGraph& graph = session.context().graph;
+  const Table& table = fresh.dataset.dirty();
+  CompiledGraph compiled = CompiledGraph::Build(graph, table, fresh.dcs);
+  ASSERT_GT(compiled.stats().num_tabled_factors, 0u);
+  EXPECT_GT(CheckViolationTables(graph, compiled, table, fresh.dcs,
+                                 DcEvaluator(&table)),
+            0u);
+}
+
+TEST(CompiledKernel, ViolationTablesUseConfiguredSimThreshold) {
+  // A similarity DC under DC factors: "Chicago" ~ "Cicago" is similar at
+  // the default 0.8 (6/7) but not at 0.95, so the session's violation
+  // tables must be computed at the configured threshold — the one
+  // detection and grounding use.
+  Table dirty(Schema({"Zip", "City"}), std::make_shared<Dictionary>());
+  for (int i = 0; i < 4; ++i) dirty.AppendRow({"60608", "Chicago"});
+  dirty.AppendRow({"60608", "Cicago"});
+  for (int i = 0; i < 4; ++i) dirty.AppendRow({"60201", "Evanston"});
+  dirty.AppendRow({"60201", "Evanstn"});
+  Dataset dataset(std::move(dirty));
+  auto dcs = ParseDenialConstraints(
+      "t1&t2&EQ(t1.Zip,t2.Zip)&IQ(t1.City,t2.City)\n"
+      "t1&t2&SIM(t1.City,t2.City)&IQ(t1.City,t2.City)&EQ(t1.Zip,t2.Zip)\n",
+      dataset.dirty().schema());
+  ASSERT_TRUE(dcs.ok());
+
+  HoloCleanConfig config;
+  config.dc_mode = DcMode::kFactors;
+  config.sim_threshold = 0.95;
+  config.gibbs_burn_in = 2;
+  config.gibbs_samples = 4;
+  auto opened = test_helpers::OpenSessionOver(config, &dataset, dcs.value());
+  ASSERT_TRUE(opened.ok());
+  Session session = std::move(opened).value();
+  ASSERT_TRUE(session.Run().ok());
+
+  const PipelineContext& ctx = session.context();
+  ASSERT_NE(ctx.compiled, nullptr);
+  EXPECT_EQ(ctx.compiled->sim_threshold(), 0.95);
+  ASSERT_GT(ctx.compiled->stats().num_tabled_factors, 0u);
+  const Table& table = dataset.dirty();
+  size_t differs_at_08 = 0;
+  EXPECT_GT(CheckViolationTables(ctx.graph, *ctx.compiled, table, dcs.value(),
+                                 DcEvaluator(&table, 0.95), &differs_at_08),
+            0u);
+  // The data is chosen so the threshold matters to some table entry.
+  EXPECT_GT(differs_at_08, 0u);
+  EXPECT_EQ(oracle::DiffPipeline(ctx), "");
 }
 
 // ---------- Snapshot compatibility ----------
@@ -384,65 +472,58 @@ struct SnapshotPaths {
   std::string comp_path;
 };
 
-/// Full runs under either kernel serialize to byte-identical snapshots:
+/// A session whose learned weights, marginals, and repairs are replaced by
+/// the interpreters' serializes to the same bytes as the production run:
 /// the dense↔sparse weight conversion must not perturb the persisted
-/// sparse view in any format version.
-void CheckSnapshotBytesIdentical(uint32_t format_version, SectionCodec codec) {
+/// sparse view. The snapshot of the oracle artifacts also restores and
+/// resumes bit-identically.
+TEST(CompiledKernel, SnapshotV2PackedBytesIdenticalAcrossKernels) {
   SnapshotPaths paths;
-  HospitalOptions options;
-  options.num_rows = 120;
-
+  HoloCleanConfig config;
+  config.dc_mode = DcMode::kBoth;
+  config.partitioning = true;
+  config.gibbs_burn_in = 2;
+  config.gibbs_samples = 6;
+  config.epochs = 3;
   SnapshotSaveOptions save;
-  save.format_version = format_version;
-  save.codec = codec;
+  save.codec = SectionCodec::kPacked;
 
-  GeneratedData ref_data = MakeHospital(options);
-  HoloCleanConfig ref_config;
-  ref_config.dc_mode = DcMode::kBoth;
-  ref_config.partitioning = true;
-  ref_config.gibbs_burn_in = 2;
-  ref_config.gibbs_samples = 6;
-  ref_config.epochs = 3;
-  ref_config.compiled_kernel = false;
-  auto ref_session = OpenStandaloneSession(CleaningInputs::Borrowed(&ref_data.dataset, &ref_data.dcs), {ref_config});
-  ASSERT_TRUE(ref_session.ok());
-  ASSERT_TRUE(ref_session.value().Run().ok());
-  ASSERT_TRUE(ref_session.value().Save(paths.ref_path, save).ok());
-
-  GeneratedData comp_data = MakeHospital(options);
-  HoloCleanConfig comp_config = ref_config;
-  comp_config.compiled_kernel = true;
-  auto comp_session = OpenStandaloneSession(CleaningInputs::Borrowed(&comp_data.dataset, &comp_data.dcs), {comp_config});
+  GeneratedData comp_data = Hospital(120);
+  auto comp_session = OpenStandaloneSession(
+      CleaningInputs::Borrowed(&comp_data.dataset, &comp_data.dcs), {config});
   ASSERT_TRUE(comp_session.ok());
   ASSERT_TRUE(comp_session.value().Run().ok());
   ASSERT_TRUE(comp_session.value().Save(paths.comp_path, save).ok());
+
+  GeneratedData ref_data = Hospital(120);
+  auto ref_session = OpenStandaloneSession(
+      CleaningInputs::Borrowed(&ref_data.dataset, &ref_data.dcs), {config});
+  ASSERT_TRUE(ref_session.ok());
+  ASSERT_TRUE(ref_session.value().Run().ok());
+  PipelineContext& ctx = ref_session.value().context();
+  ctx.weights = oracle::LearnWeights(ctx);
+  ctx.marginals = oracle::InferMarginals(ctx, ctx.weights);
+  oracle::ExtractRepairs(ctx, ctx.marginals, &ctx.report.repairs,
+                         &ctx.report.posteriors);
+  ASSERT_TRUE(ref_session.value().Save(paths.ref_path, save).ok());
 
   std::string ref_bytes = ReadFileBytes(paths.ref_path);
   std::string comp_bytes = ReadFileBytes(paths.comp_path);
   ASSERT_FALSE(ref_bytes.empty());
   EXPECT_EQ(ref_bytes, comp_bytes);
 
-  // Cross-restore: a snapshot written under the reference kernel restores
-  // into a compiled-kernel session (the kernel knobs are excluded from the
-  // config fingerprint) and re-runs from infer bit-identically.
-  GeneratedData fresh = MakeHospital(options);
-  auto restored = test_helpers::RestoreSessionOver(comp_config, paths.ref_path,
-                                                 &fresh.dataset, fresh.dcs);
+  // The oracle-written snapshot restores into a production session and
+  // re-runs from infer bit-identically.
+  GeneratedData fresh = Hospital(120);
+  auto restored = test_helpers::RestoreSessionOver(config, paths.ref_path,
+                                                   &fresh.dataset, fresh.dcs);
   ASSERT_TRUE(restored.ok()) << restored.status();
   Session resumed = std::move(restored).value();
   resumed.Invalidate(StageId::kInfer);
   auto resumed_report = resumed.Run();
   ASSERT_TRUE(resumed_report.ok());
-  ExpectReportsBitIdentical(ref_session.value().report(),
+  ExpectReportsBitIdentical(comp_session.value().report(),
                             resumed_report.value());
-}
-
-TEST(CompiledKernel, SnapshotV2PackedBytesIdenticalAcrossKernels) {
-  CheckSnapshotBytesIdentical(kSnapshotFormatVersion, SectionCodec::kPacked);
-}
-
-TEST(CompiledKernel, SnapshotV1BytesIdenticalAcrossKernels) {
-  CheckSnapshotBytesIdentical(kSnapshotFormatV1, SectionCodec::kRaw);
 }
 
 // ---------- Parallel build ----------

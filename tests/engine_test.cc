@@ -67,16 +67,21 @@ TEST(EngineBatch, BitIdenticalToSequentialStandaloneRunsAnyPoolSize) {
   constexpr size_t kJobs = 4;
   HoloCleanConfig config = TestConfig();
 
-  // The sequential baseline: standalone facade sessions with private
-  // pools, one per job, using the batch's derived per-job seeds.
+  // The sequential baseline: standalone sessions with private pools, one
+  // per job, using the batch's derived per-job seeds.
   std::vector<Report> baseline;
+  std::vector<WeightStore> baseline_weights;
   for (size_t i = 0; i < kJobs; ++i) {
     auto data = MakeVariant(i);
     HoloCleanConfig job_config = config;
     job_config.seed = Engine::PerJobSeed(config.seed, i);
-    auto report = CleanOnce(CleaningInputs::Borrowed(&data->dataset, &data->dcs), {job_config});
+    auto session = test_helpers::OpenSessionOver(job_config, &data->dataset,
+                                                 data->dcs);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto report = session.value().Run();
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     baseline.push_back(std::move(report).value());
+    baseline_weights.push_back(session.value().weights());
   }
 
   for (size_t pool_size : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -98,11 +103,19 @@ TEST(EngineBatch, BitIdenticalToSequentialStandaloneRunsAnyPoolSize) {
       ASSERT_TRUE(result.ok())
           << "pool " << pool_size << ": " << result.status().ToString();
       ExpectReportsEqual(result.value(), baseline[i]);
-      // Batch consumers get the learned weights without a session handle.
-      ASSERT_NE(result.value().learned_weights, nullptr);
-      ASSERT_NE(baseline[i].learned_weights, nullptr);
-      EXPECT_EQ(result.value().learned_weights->raw(),
-                baseline[i].learned_weights->raw());
+    }
+    // Sessions the engine opens on its shared pool learn the standalone
+    // sessions' weights bit for bit.
+    for (size_t i = 0; i < kJobs; ++i) {
+      SessionOptions job = common;
+      job.config.seed = Engine::PerJobSeed(config.seed, i);
+      auto session = engine.OpenSession(InputsOf(fleet[i]), job);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      ASSERT_TRUE(session.value().uses_shared_pool());
+      ASSERT_TRUE(session.value().Run().ok());
+      EXPECT_GT(session.value().weights().size(), 0u);
+      EXPECT_EQ(session.value().weights().raw(), baseline_weights[i].raw())
+          << "pool " << pool_size << " job " << i;
     }
   }
 }
@@ -364,25 +377,6 @@ TEST(EngineSession, MoveKeepsPoolWiringAndInertsTheSource) {
     EXPECT_FALSE(session.uses_shared_pool());  // NOLINT(bugprone-use-after-move)
     ASSERT_TRUE(moved.Run().ok());
   }
-}
-
-TEST(CleanOnce, ReportCarriesLearnedWeightsMatchingSession) {
-  auto data = MakeVariant(0, 300);
-  HoloCleanConfig config = TestConfig();
-  auto report = test_helpers::RunOnce(config, &data->dataset, data->dcs);
-  ASSERT_TRUE(report.ok());
-  ASSERT_NE(report.value().learned_weights, nullptr);
-  EXPECT_GT(report.value().learned_weights->size(), 0u);
-
-  // The one-shot report's weights match a staged session's live store for
-  // the same inputs and seed.
-  auto fresh = MakeVariant(0, 300);
-  auto opened = test_helpers::OpenSessionOver(config, &fresh->dataset,
-                                              fresh->dcs);
-  ASSERT_TRUE(opened.ok());
-  Session session = std::move(opened).value();
-  ASSERT_TRUE(session.Run().ok());
-  EXPECT_EQ(session.weights().raw(), report.value().learned_weights->raw());
 }
 
 TEST(EnginePerJobSeed, DeterministicAndDecorrelated) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "holoclean/constraints/parser.h"
 #include "holoclean/core/engine.h"
@@ -464,54 +466,100 @@ TEST(SessionSnapshot, ExternalDataInputsMismatchRejected) {
 }
 
 TEST(SessionSnapshot, FailedLoadLeavesDatasetUntouched) {
-  SnapshotFixture f;
-  auto opened = test_helpers::OpenSessionOver(f.config, &f.dataset, f.dcs);
-  ASSERT_TRUE(opened.ok());
-  Session session = std::move(opened).value();
-  auto first = session.Run();
-  ASSERT_TRUE(first.ok());
-  ASSERT_FALSE(first.value().repairs.empty());
-  // Pin a cell so a successful restore WOULD rewrite the table.
-  Repair verified = first.value().repairs.front();
-  session.PinCell(verified.cell, verified.new_value);
-  ASSERT_TRUE(session.Run().ok());
-  // v1: its monolithic layout allows rebuilding a checksum-valid file, so
-  // the tamper below exercises the deepest possible failure point.
-  SnapshotSaveOptions v1;
-  v1.format_version = kSnapshotFormatV1;
-  ASSERT_TRUE(session.Save(f.path, v1).ok());
-
-  // Tamper: append junk inside the payload and recompute the checksum, so
-  // every validation passes and parsing fails only at the very end
-  // ("trailing bytes") — after all artifact sections were consumed.
+  // The golden v1 snapshot, tampered so a successful restore WOULD rewrite
+  // the table and intern a string: one cell value is rewritten and a
+  // dictionary string added. v1's monolithic layout allows rebuilding a
+  // checksum-valid file, so with junk appended to the payload every
+  // validation passes and parsing fails only at the very end ("trailing
+  // bytes") — after all artifact sections were consumed.
   std::string bytes;
   {
-    std::ifstream in(f.path, std::ios::binary);
+    std::ifstream in(std::string(HOLOCLEAN_TEST_DATA_DIR) +
+                         "/golden_v1.snapshot",
+                     std::ios::binary);
     std::ostringstream buf;
     buf << in.rdbuf();
     bytes = buf.str();
   }
+  ASSERT_GT(bytes.size(), 24u);
   std::string payload = bytes.substr(16, bytes.size() - 24);
-  payload.append("junk");
+
+  // Walk the payload header to the dictionary and the cell values.
+  BinaryReader reader(payload);
+  uint64_t word = 0;
+  uint64_t num_attrs = 0;
+  uint64_t num_rows = 0;
+  std::string name;
+  ASSERT_TRUE(reader.ReadU64(&word).ok());  // Config fingerprint.
+  ASSERT_TRUE(reader.ReadU64(&num_attrs).ok());
+  ASSERT_EQ(num_attrs, 3u);
+  for (uint64_t a = 0; a < num_attrs; ++a) {
+    ASSERT_TRUE(reader.ReadString(&name).ok());
+  }
+  ASSERT_TRUE(reader.ReadU64(&num_rows).ok());
+  ASSERT_TRUE(reader.ReadU64(&word).ok());  // DC fingerprint.
+  ASSERT_TRUE(reader.ReadU64(&word).ok());  // External-data fingerprint.
+  const size_t dict_at = payload.size() - reader.remaining();
+  uint64_t dict_size = 0;
+  ASSERT_TRUE(reader.ReadU64(&dict_size).ok());
+  std::vector<std::string> dict(dict_size);
+  for (std::string& value : dict) ASSERT_TRUE(reader.ReadString(&value).ok());
+  const size_t cells_at = payload.size() - reader.remaining();
+
+  // Cells are stored column by column; rewrite (t11, City) "Evnaston" to
+  // "Evanston".
+  const CellRef tampered_cell{11, 2};
+  const size_t cell_at =
+      cells_at + 4 * (static_cast<size_t>(tampered_cell.attr) * num_rows +
+                      static_cast<size_t>(tampered_cell.tid));
+  auto id_of = [&](const std::string& value) {
+    return static_cast<int32_t>(std::find(dict.begin(), dict.end(), value) -
+                                dict.begin());
+  };
+  ASSERT_LT(static_cast<size_t>(id_of("Evanston")), dict.size());
+  BinaryReader cell(std::string_view(payload).substr(cell_at, 4));
+  int32_t stored = 0;
+  ASSERT_TRUE(cell.ReadI32(&stored).ok());
+  ASSERT_EQ(stored, id_of("Evnaston"));
+  BinaryWriter rewritten_cell;
+  rewritten_cell.WriteI32(id_of("Evanston"));
+  payload.replace(cell_at, 4, rewritten_cell.buffer());
+
+  // One more dictionary string, appended after the existing ones.
+  BinaryWriter dict_count;
+  dict_count.WriteU64(dict_size + 1);
+  BinaryWriter extra_string;
+  extra_string.WriteString("never-interned");
+  payload = payload.substr(0, dict_at) + dict_count.buffer() +
+            payload.substr(dict_at + 8, cells_at - dict_at - 8) +
+            extra_string.buffer() + payload.substr(cells_at) + "junk";
+
   BinaryWriter tampered;
   tampered.WriteBytes(bytes.substr(0, 4));
   tampered.WriteU32(kSnapshotFormatV1);
   tampered.WriteU64(payload.size());
   tampered.WriteBytes(payload);
   tampered.WriteU64(HashBytes(payload));
+  SnapshotFixture f;
   {
     std::ofstream out(f.path, std::ios::binary | std::ios::trunc);
     out << tampered.buffer();
   }
 
   SnapshotFixture fresh;
-  ValueId before = fresh.dataset.dirty().Get(verified.cell);
+  ValueId before = fresh.dataset.dirty().Get(tampered_cell);
+  ASSERT_EQ(fresh.dataset.dirty().dict().GetString(before), "Evnaston");
   size_t dict_before = fresh.dataset.dirty().dict().size();
+  ASSERT_LE(dict_before, dict_size);
   auto restored = test_helpers::RestoreSessionOver(f.config, f.path, &fresh.dataset, fresh.dcs);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
-  // The failed load committed nothing: no replayed pin, no interned values.
-  EXPECT_EQ(fresh.dataset.dirty().Get(verified.cell), before);
+  EXPECT_NE(restored.status().message().find("trailing bytes"),
+            std::string::npos)
+      << restored.status();
+  // The failed load committed nothing: no rewritten cell, no interned
+  // values.
+  EXPECT_EQ(fresh.dataset.dirty().Get(tampered_cell), before);
   EXPECT_EQ(fresh.dataset.dirty().dict().size(), dict_before);
 }
 
@@ -795,25 +843,6 @@ TEST(SessionSnapshot, RawAndPackedCodecsRestoreIdentically) {
   ASSERT_EQ(a.marginals.probs(), b.marginals.probs());
   ASSERT_EQ(a.report.repairs.size(), b.report.repairs.size());
   std::remove(raw_path.c_str());
-}
-
-TEST(SessionSnapshot, V1WritePathStillRoundTrips) {
-  SnapshotFixture f;
-  auto opened = test_helpers::OpenSessionOver(f.config, &f.dataset, f.dcs);
-  ASSERT_TRUE(opened.ok());
-  Session session = std::move(opened).value();
-  ASSERT_TRUE(session.RunThrough(StageId::kLearn).ok());
-  SnapshotSaveOptions v1;
-  v1.format_version = kSnapshotFormatV1;
-  ASSERT_TRUE(session.Save(f.path, v1).ok());
-
-  SnapshotFixture fresh;
-  auto restored = test_helpers::RestoreSessionOver(f.config, f.path, &fresh.dataset, fresh.dcs);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_TRUE(restored.value().StageIsValid(StageId::kLearn));
-  auto finished = restored.value().Run();
-  ASSERT_TRUE(finished.ok());
-  EXPECT_FALSE(finished.value().repairs.empty());
 }
 
 // The format's back-compat contract, executable: a v1 snapshot written by

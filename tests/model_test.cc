@@ -2,11 +2,13 @@
 
 #include "holoclean/constraints/parser.h"
 #include "holoclean/detect/violation_detector.h"
+#include "holoclean/model/compiled_graph.h"
 #include "holoclean/model/domain_pruning.h"
 #include "holoclean/model/feature_registry.h"
 #include "holoclean/model/grounding.h"
 #include "holoclean/model/partitioning.h"
 #include "holoclean/model/weight_store.h"
+#include "oracle/oracle.h"
 
 namespace holoclean {
 namespace {
@@ -105,7 +107,7 @@ struct PruningFixture {
     for (int i = 0; i < 2; ++i) table.AppendRow({"Evanston", "60608"});
     table.AppendRow({"Cicago", "60608"});  // The noisy cell (t10, City).
     attrs = {0, 1};
-    cooc = CooccurrenceStats::Build(table, attrs);
+    cooc = CooccurrenceStats::BuildColumnar(table, attrs);
   }
   Table table;
   std::vector<AttrId> attrs;
@@ -116,7 +118,7 @@ TEST(DomainPruning, ThresholdSelectsCooccurringValues) {
   PruningFixture f;
   DomainPruningOptions options;
   options.tau = 0.5;
-  PrunedDomains domains = PruneDomains(
+  PrunedDomains domains = PruneDomainsColumnar(
       f.table, {{10, 0}}, f.attrs, f.cooc, options);
   const auto& cand = domains.For({10, 0});
   // Init value always first, then Chicago (8/11 >= 0.5).
@@ -139,10 +141,10 @@ TEST(DomainPruning, LowerTauGivesSupersetProperty) {
     low_options.tau = 0.3;
     DomainPruningOptions high_options;
     high_options.tau = hi;
-    PrunedDomains low = PruneDomains(f.table, cells, f.attrs, f.cooc,
-                                     low_options);
-    PrunedDomains high = PruneDomains(f.table, cells, f.attrs, f.cooc,
-                                      high_options);
+    PrunedDomains low =
+        PruneDomainsColumnar(f.table, cells, f.attrs, f.cooc, low_options);
+    PrunedDomains high =
+        PruneDomainsColumnar(f.table, cells, f.attrs, f.cooc, high_options);
     for (const CellRef& c : cells) {
       for (ValueId v : high.For(c)) {
         const auto& low_cand = low.For(c);
@@ -159,7 +161,7 @@ TEST(DomainPruning, InitValueAlwaysIncluded) {
   DomainPruningOptions options;
   options.tau = 0.99;  // Prunes almost everything.
   PrunedDomains domains =
-      PruneDomains(f.table, {{10, 0}}, f.attrs, f.cooc, options);
+      PruneDomainsColumnar(f.table, {{10, 0}}, f.attrs, f.cooc, options);
   const auto& cand = domains.For({10, 0});
   ASSERT_FALSE(cand.empty());
   EXPECT_EQ(cand[0], f.table.Get(10, 0));
@@ -170,19 +172,20 @@ TEST(DomainPruning, MaxCandidatesCap) {
   for (int i = 0; i < 50; ++i) {
     t.AppendRow({"a" + std::to_string(i), "ctx"});
   }
-  CooccurrenceStats cooc = CooccurrenceStats::Build(t, {0, 1});
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(t, {0, 1});
   DomainPruningOptions options;
   options.tau = 0.0;
   options.max_candidates = 5;
-  PrunedDomains domains = PruneDomains(t, {{0, 0}}, {0, 1}, cooc, options);
+  PrunedDomains domains =
+      PruneDomainsColumnar(t, {{0, 0}}, {0, 1}, cooc, options);
   EXPECT_LE(domains.For({0, 0}).size(), 6u);  // Cap + init value.
 }
 
 TEST(DomainPruning, TotalCandidatesSums) {
   PruningFixture f;
   DomainPruningOptions options;
-  PrunedDomains domains = PruneDomains(f.table, {{10, 0}, {0, 0}}, f.attrs,
-                                       f.cooc, options);
+  PrunedDomains domains = PruneDomainsColumnar(
+      f.table, {{10, 0}, {0, 0}}, f.attrs, f.cooc, options);
   EXPECT_EQ(domains.TotalCandidates(),
             domains.For({10, 0}).size() + domains.For({0, 0}).size());
 }
@@ -252,7 +255,7 @@ struct GroundingFixture {
         table.schema());
     EXPECT_TRUE(parsed.ok());
     dcs = parsed.value();
-    cooc = CooccurrenceStats::Build(table, attrs);
+    cooc = CooccurrenceStats::BuildColumnar(table, attrs);
     ViolationDetector detector(&table, &dcs);
     violations = detector.Detect();
     noisy = ViolationDetector::NoisyFromViolations(violations);
@@ -266,7 +269,7 @@ struct GroundingFixture {
     prune.tau = 0.2;
     std::vector<CellRef> all = noisy.cells();
     all.insert(all.end(), evidence.begin(), evidence.end());
-    domains = PruneDomains(table, all, attrs, cooc, prune);
+    domains = PruneDomainsColumnar(table, all, attrs, cooc, prune);
 
     input.table = &table;
     input.dcs = &dcs;
@@ -390,17 +393,48 @@ TEST(Grounding, UnaryScoreUsesWeights) {
   ASSERT_TRUE(graph.ok());
   const FactorGraph& g = graph.value();
   ASSERT_GT(g.num_variables(), 0u);
+  CompiledGraph compiled = CompiledGraph::Build(g, f.table, f.dcs);
   WeightStore weights;
   // With all-zero weights the score equals the prior bias.
   const Variable& var = g.variable(0);
-  EXPECT_DOUBLE_EQ(g.UnaryScore(0, var.init_index, weights),
-                   var.prior_bias[static_cast<size_t>(var.init_index)]);
+  EXPECT_DOUBLE_EQ(
+      compiled.UnaryScore(0, var.init_index, compiled.GatherWeights(weights)),
+      var.prior_bias[static_cast<size_t>(var.init_index)]);
   // Raising a feature weight raises the score of candidates carrying it.
   if (var.feat_begin[1] > 0) {
     uint64_t key = var.features[0].weight_key;
     weights.Set(key, 1.0);
-    EXPECT_GT(g.UnaryScore(0, 0, weights),
+    EXPECT_GT(compiled.UnaryScore(0, 0, compiled.GatherWeights(weights)),
               var.prior_bias[0] - 1e-12);
+  }
+}
+
+TEST(Grounding, CondProbActivationsMatchStatistics) {
+  // Every emitted kCondProb activation is (float)CondProb over the tuple's
+  // non-null context cells, and only contexts with a positive probability
+  // emit one — in every DC mode, at any pool size.
+  GroundingFixture f;
+  for (DcMode mode : {DcMode::kFeatures, DcMode::kFactors, DcMode::kBoth}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ThreadPool pool(threads);
+      GroundingOptions options;
+      options.dc_mode = mode;
+      options.pool = &pool;
+      auto graph = Grounder(f.input, options).Ground();
+      ASSERT_TRUE(graph.ok());
+      size_t cond_prob = 0;
+      for (const Variable& var : graph.value().variables()) {
+        for (const FeatureInstance& feat : var.features) {
+          if (WeightKeyCodec::Kind(feat.weight_key) == FeatureKind::kCondProb) {
+            ++cond_prob;
+          }
+        }
+      }
+      EXPECT_GT(cond_prob, 0u);
+      EXPECT_EQ(oracle::DiffCondProbFeatures(graph.value(), f.table, f.attrs,
+                                             f.cooc),
+                "");
+    }
   }
 }
 

@@ -22,7 +22,7 @@ TEST_P(TauSweep, CandidateCountShrinksWithTau) {
   GeneratedData data = MakeHospital({400, 0.05, 61});
   std::vector<AttrId> attrs = data.dataset.RepairableAttrs();
   CooccurrenceStats cooc =
-      CooccurrenceStats::Build(data.dataset.dirty(), attrs);
+      CooccurrenceStats::BuildColumnar(data.dataset.dirty(), attrs);
   ViolationDetector detector(&data.dataset.dirty(), &data.dcs);
   NoisyCells noisy =
       ViolationDetector::NoisyFromViolations(detector.Detect());
@@ -31,12 +31,12 @@ TEST_P(TauSweep, CandidateCountShrinksWithTau) {
   low.tau = 0.1;
   DomainPruningOptions here;
   here.tau = GetParam();
-  size_t low_count =
-      PruneDomains(data.dataset.dirty(), noisy.cells(), attrs, cooc, low)
-          .TotalCandidates();
-  size_t here_count =
-      PruneDomains(data.dataset.dirty(), noisy.cells(), attrs, cooc, here)
-          .TotalCandidates();
+  size_t low_count = PruneDomainsColumnar(data.dataset.dirty(),
+                                          noisy.cells(), attrs, cooc, low)
+                         .TotalCandidates();
+  size_t here_count = PruneDomainsColumnar(data.dataset.dirty(),
+                                           noisy.cells(), attrs, cooc, here)
+                          .TotalCandidates();
   EXPECT_LE(here_count, low_count);
 }
 

@@ -15,7 +15,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -211,12 +213,12 @@ TEST(ServeProtocol, ConfigOverridesApplyAndRejectUnknownKeys) {
   JsonValue overrides = JsonValue::Object();
   overrides.Set("tau", JsonValue::Number(0.7));
   overrides.Set("epochs", JsonValue::Number(3));
-  overrides.Set("compiled_kernel", JsonValue::Bool(false));
+  overrides.Set("partitioning", JsonValue::Bool(true));
   overrides.Set("seed", JsonValue::Number(99));
   ASSERT_TRUE(serve::ApplyConfigOverrides(overrides, &config).ok());
   EXPECT_DOUBLE_EQ(config.tau, 0.7);
   EXPECT_EQ(config.epochs, 3);
-  EXPECT_FALSE(config.compiled_kernel);
+  EXPECT_TRUE(config.partitioning);
   EXPECT_EQ(config.seed, 99u);
   // Untouched knobs keep their defaults.
   EXPECT_EQ(config.gibbs_samples, HoloCleanConfig().gibbs_samples);
@@ -229,6 +231,16 @@ TEST(ServeProtocol, ConfigOverridesApplyAndRejectUnknownKeys) {
   JsonValue wrong_type = JsonValue::Object();
   wrong_type.Set("epochs", JsonValue::String("three"));
   EXPECT_FALSE(serve::ApplyConfigOverrides(wrong_type, &config).ok());
+
+  // The removed implementation switches are unknown keys now; no result
+  // ever depended on them.
+  for (const char* removed : {"compiled_kernel", "columnar"}) {
+    JsonValue old_knob = JsonValue::Object();
+    old_knob.Set(removed, JsonValue::Bool(true));
+    EXPECT_EQ(serve::ApplyConfigOverrides(old_knob, &config).code(),
+              StatusCode::kInvalidArgument)
+        << removed;
+  }
 }
 
 TEST(ServeProtocol, ErrorCodesDistinguishOverloadFromDraining) {
@@ -498,6 +510,57 @@ TEST(ServeServer, DrainRejectsNewWorkAsDraining) {
   EXPECT_EQ(reg.GetString("error"), "draining");
 }
 
+/// Rewrites a drained manifest so every session config carries the
+/// compiled_kernel and columnar keys where older builds wrote them (around
+/// dc_table_cap).
+void AddRemovedConfigKeys(const std::string& path) {
+  std::string text;
+  {
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  auto manifest = JsonValue::Parse(text);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  JsonValue rewritten = JsonValue::Object();
+  size_t configs = 0;
+  for (const auto& [key, value] : manifest.value().members()) {
+    if (key != "sessions") {
+      rewritten.Set(key, value);
+      continue;
+    }
+    JsonValue sessions = JsonValue::Array();
+    for (const JsonValue& session : value.items()) {
+      JsonValue s = JsonValue::Object();
+      for (const auto& [skey, svalue] : session.members()) {
+        if (skey != "config") {
+          s.Set(skey, svalue);
+          continue;
+        }
+        JsonValue config = JsonValue::Object();
+        for (const auto& [ckey, cvalue] : svalue.members()) {
+          if (ckey == "dc_table_cap") {
+            config.Set("compiled_kernel", JsonValue::Bool(true));
+          }
+          config.Set(ckey, cvalue);
+          if (ckey == "dc_table_cap") {
+            config.Set("columnar", JsonValue::Bool(true));
+          }
+        }
+        ASSERT_NE(config.Find("columnar"), nullptr);
+        s.Set(skey, std::move(config));
+        ++configs;
+      }
+      sessions.Append(std::move(s));
+    }
+    rewritten.Set(key, std::move(sessions));
+  }
+  ASSERT_GT(configs, 0u);
+  std::ofstream out(path, std::ios::trunc);
+  out << rewritten.Dump() << "\n";
+}
+
 TEST(ServeServer, DrainThenRestartRestoresWarmStateBitIdentically) {
   ServerOptions options = FastServerOptions();
   options.state_directory = FreshDir("drain");
@@ -517,6 +580,11 @@ TEST(ServeServer, DrainThenRestartRestoresWarmStateBitIdentically) {
     warm_repairs = RepairsDump(warm);
     ASSERT_TRUE(first.Drain().ok());
   }
+  // Manifests drained by older builds carry the since-removed
+  // compiled_kernel and columnar knobs in each session config; they must
+  // keep restoring.
+  ASSERT_NO_FATAL_FAILURE(
+      AddRemovedConfigKeys(options.state_directory + "/manifest.json"));
 
   CleaningServer second(options);
   ASSERT_TRUE(second.RestoreState().ok());

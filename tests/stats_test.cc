@@ -54,7 +54,7 @@ TEST(FrequencyStats, SortedCountsDescending) {
 
 TEST(Cooccurrence, PairCountsSkipNulls) {
   Table t = CityZipTable();
-  CooccurrenceStats cooc = CooccurrenceStats::Build(t, Attrs(t));
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(t, Attrs(t));
   ValueId chicago = t.dict().Lookup("Chicago");
   ValueId z608 = t.dict().Lookup("60608");
   ValueId z201 = t.dict().Lookup("60201");
@@ -67,7 +67,7 @@ TEST(Cooccurrence, PairCountsSkipNulls) {
 
 TEST(Cooccurrence, CondProbDefinition) {
   Table t = CityZipTable();
-  CooccurrenceStats cooc = CooccurrenceStats::Build(t, Attrs(t));
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(t, Attrs(t));
   ValueId chicago = t.dict().Lookup("Chicago");
   ValueId z608 = t.dict().Lookup("60608");
   // Pr[City=Chicago | Zip=60608] = 2/2.
@@ -80,7 +80,7 @@ TEST(Cooccurrence, CondProbDefinition) {
 
 TEST(Cooccurrence, CooccurringValuesMatchesPairCounts) {
   Table t = CityZipTable();
-  CooccurrenceStats cooc = CooccurrenceStats::Build(t, Attrs(t));
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(t, Attrs(t));
   ValueId chicago = t.dict().Lookup("Chicago");
   auto values = cooc.CooccurringValues(1, 0, chicago);
   ASSERT_EQ(values.size(), 2u);
@@ -101,7 +101,7 @@ TEST(Cooccurrence, ConditionalSumsToOneProperty) {
     t.AppendRow({"a" + std::to_string(rng.Below(5)),
                  "b" + std::to_string(rng.Below(3))});
   }
-  CooccurrenceStats cooc = CooccurrenceStats::Build(t, {0, 1});
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(t, {0, 1});
   for (ValueId b : cooc.Domain(1)) {
     double sum = 0.0;
     for (ValueId a : cooc.Domain(0)) sum += cooc.CondProb(0, a, 1, b);
@@ -111,7 +111,7 @@ TEST(Cooccurrence, ConditionalSumsToOneProperty) {
 
 TEST(Cooccurrence, DomainIsSortedDistinct) {
   Table t = CityZipTable();
-  CooccurrenceStats cooc = CooccurrenceStats::Build(t, Attrs(t));
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(t, Attrs(t));
   const auto& domain = cooc.Domain(0);
   EXPECT_EQ(domain.size(), 2u);
   EXPECT_TRUE(std::is_sorted(domain.begin(), domain.end()));

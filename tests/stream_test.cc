@@ -398,6 +398,59 @@ TEST(Stream, AppendAfterSnapshotRestoreMatchesScratch) {
   std::remove(snapshot.c_str());
 }
 
+TEST(Stream, WarmAppendAfterRestoreMatchesLiveSession) {
+  // A session just restored from a snapshot has no compiled view (and,
+  // restored lazily, no materialized graph): its warm append compiles the
+  // grown graph whole, and must land on exactly the weights and repairs
+  // the same append produces on the live session, whose compiled arenas
+  // grow in place.
+  SplitData split = MakeSplit(150, 120, 9700);
+  HoloCleanConfig config = FastConfig();
+  StreamOptions warm;
+  warm.mode = StreamMode::kWarm;
+  warm.compact_threshold = 10.0;
+  std::vector<std::vector<std::string>> batch(split.tail.begin(),
+                                              split.tail.begin() + 16);
+  std::string snapshot =
+      ::testing::TempDir() + "stream_warm_restore_snapshot.hcsnap";
+
+  auto live_table = Table::FromCsv(split.base);
+  ASSERT_TRUE(live_table.ok());
+  Dataset live_data(std::move(live_table).value());
+  auto live = OpenSessionOver(config, &live_data, split.dcs);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(live.value().RunThrough(StageId::kRepair).ok());
+  ASSERT_TRUE(live.value().Save(snapshot, {}).ok());
+  StreamSession live_stream(&live.value(), warm);
+  auto live_report = live_stream.AppendRows(batch);
+  ASSERT_TRUE(live_report.ok()) << live_report.status();
+  EXPECT_FALSE(live_stream.stats().last_batch.resync);
+
+  for (bool lazy : {false, true}) {
+    auto table = Table::FromCsv(split.base);
+    ASSERT_TRUE(table.ok());
+    Dataset dataset(std::move(table).value());
+    SnapshotLoadOptions load;
+    load.lazy_graph = lazy;
+    auto restored = RestoreSessionOver(config, snapshot, &dataset, split.dcs,
+                                       nullptr, nullptr, nullptr, load);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    ASSERT_EQ(restored.value().context().compiled, nullptr);
+    StreamSession stream(&restored.value(), warm);
+    auto report = stream.AppendRows(batch);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_FALSE(stream.stats().last_batch.resync) << "lazy " << lazy;
+    EXPECT_EQ(restored.value().context().graph.num_variables(),
+              live.value().context().graph.num_variables())
+        << "lazy " << lazy;
+    EXPECT_EQ(restored.value().weights().raw(), live.value().weights().raw())
+        << "lazy " << lazy;
+    ExpectRepairsBitIdentical(live_report.value().repairs,
+                              report.value().repairs);
+  }
+  std::remove(snapshot.c_str());
+}
+
 // --- Fault injection ---------------------------------------------------------
 
 struct FailpointCase {

@@ -11,7 +11,7 @@
 //             [--tau 0.5] [--mode feats|factors|both] [--partitioning]
 //             [--min-confidence 0.0] [--seed 42] [--threads 0]
 //             [--stages detect,compile] [--rerun-from infer]
-//             [--compiled-kernel on|off] [--dc-table-cap 4096]
+//             [--dc-table-cap 4096]
 //   holoclean --batch manifest.txt [--threads 0] [shared config flags]
 //   holoclean --data growing.csv --constraints dcs.txt --follow
 //             [--follow-batch-rows 64] [--follow-poll-ms 500]
@@ -158,10 +158,6 @@ void PrintUsage() {
       "  --mmap-restore        mmap the --load-session snapshot and defer\n"
       "                        the factor-graph section to first stage\n"
       "                        access instead of parsing it up front\n"
-      "  --compiled-kernel V   on (default) runs learn/infer on the compiled\n"
-      "                        kernel (dense weights, CSR arenas, DC\n"
-      "                        violation tables); off uses the reference\n"
-      "                        interpreter — results are bit-identical\n"
       "  --dc-table-cap N      max precomputed violation-table entries per\n"
       "                        DC factor; larger factors fall back to the\n"
       "                        evaluator (default 4096)\n"
@@ -261,15 +257,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
         options.save_options.codec = SectionCodec::kPacked;
       } else {
         return Status::InvalidArgument("unknown --snapshot-codec: " + value);
-      }
-    } else if (arg == "--compiled-kernel") {
-      if (value == "on") {
-        options.config.compiled_kernel = true;
-      } else if (value == "off") {
-        options.config.compiled_kernel = false;
-      } else {
-        return Status::InvalidArgument("unknown --compiled-kernel: " + value +
-                                       " (expected on|off)");
       }
     } else if (arg == "--dc-table-cap") {
       options.config.dc_table_cap = std::stoul(value);

@@ -15,7 +15,7 @@
 //   holoclean_serve_client --port N status   [tenant dataset]
 //
 // `clean` accepts config overrides as key=value pairs (tau=0.7
-// epochs=10 compiled_kernel=false ...). `status` with no arguments asks
+// epochs=10 ...). `status` with no arguments asks
 // for the global server view (queue depth, error counters). `append`
 // streams the data rows of a headered CSV file into the tenant's working
 // copy (append_rows op) and prints the incremental re-clean's report.
