@@ -84,6 +84,10 @@ struct GeneratorCase {
   size_t dcs;
 };
 
+// Without a printer gtest dumps the raw bytes, which include the heap address
+// of the name string, so the listed test names changed on every run.
+void PrintTo(const GeneratorCase& c, std::ostream* os) { *os << c.name; }
+
 class GeneratorTest : public ::testing::TestWithParam<GeneratorCase> {
  protected:
   static GeneratedData Make(const std::string& name, uint64_t seed) {
