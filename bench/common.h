@@ -39,6 +39,10 @@ struct RunOutcome {
 RunOutcome RunPipeline(GeneratedData* data, const HoloCleanConfig& config,
                        bool use_dicts);
 
+/// True when both repair lists hold the same cells, old and new values, and
+/// bit-identical probabilities, in the same order.
+bool SameRepairs(const std::vector<Repair>& a, const std::vector<Repair>& b);
+
 /// Prints a markdown-style table row.
 void PrintRule(const std::vector<int>& widths);
 void PrintRow(const std::vector<std::string>& cells,

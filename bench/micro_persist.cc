@@ -52,18 +52,6 @@ struct VariantResult {
   bool identical = false;
 };
 
-bool SameRepairs(const std::vector<Repair>& a, const std::vector<Repair>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i].cell == b[i].cell) || a[i].old_value != b[i].old_value ||
-        a[i].new_value != b[i].new_value ||
-        a[i].probability != b[i].probability) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main() {

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "holoclean/core/inputs.h"
@@ -38,6 +39,13 @@ struct EngineOptions {
 /// Per-session/per-job options: the pipeline configuration plus how the
 /// session is created and pooled.
 struct SessionOptions {
+  SessionOptions() = default;
+  /// Implicit, so callers that only set the config can pass `{config}`;
+  /// as a constructor it leaves the other fields at their defaults
+  /// without a -Wmissing-field-initializers warning per call site.
+  SessionOptions(HoloCleanConfig cfg)  // NOLINT(runtime/explicit)
+      : config(std::move(cfg)) {}
+
   HoloCleanConfig config;
 
   /// When set, the session restores its cached stage artifacts from this

@@ -18,7 +18,6 @@
 #include "holoclean/model/grounding.h"
 #include "holoclean/model/partitioning.h"
 #include "holoclean/model/weight_store.h"
-#include "holoclean/stats/cooccurrence.h"
 #include "holoclean/storage/dataset.h"
 #include "holoclean/util/status.h"
 #include "holoclean/util/thread_pool.h"
@@ -78,7 +77,6 @@ struct PipelineContext {
   std::vector<CellRef> query_cells;
   /// Clean, non-null cells sampled for training (capped, seeded shuffle).
   std::vector<CellRef> evidence_cells;
-  CooccurrenceStats cooc;
   std::vector<MatchedEntry> matches;
   PrunedDomains domains;
   /// Algorithm-3 tuple groups backing partition-parallel grounding.
@@ -138,10 +136,7 @@ struct PipelineContext {
       CompiledGraphOptions copts;
       copts.violation_table_cap = config.dc_table_cap;
       copts.sim_threshold = config.sim_threshold;
-      // Non-const make_shared: the streaming tier extends the arenas in
-      // place (CompiledGraph::AppendVariables) through a const_pointer_cast,
-      // which is only defined when the owned object is not actually const.
-      compiled = std::make_shared<CompiledGraph>(
+      compiled = std::make_shared<const CompiledGraph>(
           CompiledGraph::Build(graph, dataset->dirty(), *dcs, copts, pool));
     }
     return Status::OK();

@@ -5,6 +5,7 @@
 #include "holoclean/infer/gibbs.h"
 #include "holoclean/infer/learner.h"
 #include "holoclean/model/weight_initializer.h"
+#include "holoclean/stats/cooccurrence.h"
 #include "holoclean/util/rng.h"
 
 namespace holoclean {
@@ -137,7 +138,10 @@ class CompileStage : public PipelineStage {
     ctx->deferred_graph.reset();
     ctx->compiled.reset();
 
-    ctx->cooc = CooccurrenceStats::BuildColumnar(table, attrs, ctx->pool);
+    // Only pruning and grounding below read the statistics, so they live
+    // no longer than this stage.
+    const CooccurrenceStats cooc =
+        CooccurrenceStats::BuildColumnar(table, attrs, ctx->pool);
 
     // External data: evaluate matching dependencies, intern suggested
     // values so they can enter candidate domains.
@@ -173,7 +177,7 @@ class CompileStage : public PipelineStage {
     std::vector<CellRef> all_cells = ctx->query_cells;
     all_cells.insert(all_cells.end(), ctx->evidence_cells.begin(),
                      ctx->evidence_cells.end());
-    ctx->domains = PruneDomainsColumnar(table, all_cells, attrs, ctx->cooc,
+    ctx->domains = PruneDomainsColumnar(table, all_cells, attrs, cooc,
                                         prune_options, ctx->pool);
 
     // Candidates suggested by external dictionaries join the domain of the
@@ -207,7 +211,7 @@ class CompileStage : public PipelineStage {
     input.table = &table;
     input.dcs = ctx->dcs;
     input.attrs = &ctx->attrs;
-    input.cooc = &ctx->cooc;
+    input.cooc = &cooc;
     input.query_cells = &ctx->query_cells;
     input.evidence_cells = &ctx->evidence_cells;
     input.domains = &ctx->domains;

@@ -28,19 +28,12 @@ SgdLearner::SgdLearner(LearnerOptions options) : options_(options) {}
 
 std::vector<double> SgdLearner::Train(const CompiledGraph& compiled,
                                       WeightStore* weights) const {
-  std::vector<int32_t> evidence_vars;
+  std::vector<int32_t> order;
   for (size_t v = 0; v < compiled.num_variables(); ++v) {
     if (compiled.IsEvidence(static_cast<int>(v))) {
-      evidence_vars.push_back(static_cast<int32_t>(v));
+      order.push_back(static_cast<int32_t>(v));
     }
   }
-  return TrainOn(compiled, evidence_vars, weights);
-}
-
-std::vector<double> SgdLearner::TrainOn(
-    const CompiledGraph& compiled, const std::vector<int32_t>& evidence_vars,
-    WeightStore* weights) const {
-  std::vector<int32_t> order(evidence_vars);
   std::vector<double> epoch_nll;
   if (order.empty()) return epoch_nll;
 

@@ -49,15 +49,6 @@ class SgdLearner {
   std::vector<double> Train(const CompiledGraph& compiled,
                             WeightStore* weights) const;
 
-  /// Warm-start refinement over a chosen subset of evidence variables:
-  /// trains `weights` in place starting from their current values (no
-  /// reinitialization), same per-example update as Train. The streaming
-  /// tier uses this to fold a freshly appended batch's evidence into
-  /// already-learned weights without revisiting the full evidence set.
-  std::vector<double> TrainOn(const CompiledGraph& compiled,
-                              const std::vector<int32_t>& evidence_vars,
-                              WeightStore* weights) const;
-
  private:
   LearnerOptions options_;
 };

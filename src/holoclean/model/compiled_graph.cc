@@ -334,7 +334,6 @@ CompiledGraph CompiledGraph::Build(const FactorGraph& graph,
   out.weight_keys_.erase(
       std::unique(out.weight_keys_.begin(), out.weight_keys_.end()),
       out.weight_keys_.end());
-  out.sorted_weight_prefix_ = out.weight_keys_.size();
   // Read-only probe table: key -> rank in the sorted set. Lookups cannot
   // miss (every instance key was interned), so the probe loop needs no
   // empty-slot check.
@@ -446,59 +445,6 @@ CompiledGraph CompiledGraph::Build(const FactorGraph& graph,
   });
 
   return out;
-}
-
-void CompiledGraph::AppendVariables(const FactorGraph& graph,
-                                    size_t first_var) {
-  const std::vector<Variable>& vars = graph.variables();
-  HOLO_CHECK(first_var == num_variables());
-  HOLO_CHECK(first_var <= vars.size());
-
-  // Interning for the delta: keys already known resolve through WeightIdOf
-  // (sorted prefix + tail); keys first seen in this batch append at the
-  // tail. A private map over the existing tail keeps repeat lookups O(1)
-  // across the batch.
-  std::unordered_map<uint64_t, int32_t> tail_ids;
-  for (size_t i = sorted_weight_prefix_; i < weight_keys_.size(); ++i) {
-    tail_ids.emplace(weight_keys_[i], static_cast<int32_t>(i));
-  }
-  auto id_of = [&](uint64_t key) -> int32_t {
-    auto sorted_end =
-        weight_keys_.begin() + static_cast<ptrdiff_t>(sorted_weight_prefix_);
-    auto it = std::lower_bound(weight_keys_.begin(), sorted_end, key);
-    if (it != sorted_end && *it == key) {
-      return static_cast<int32_t>(it - weight_keys_.begin());
-    }
-    auto mit = tail_ids.find(key);
-    if (mit != tail_ids.end()) return mit->second;
-    int32_t id = static_cast<int32_t>(weight_keys_.size());
-    weight_keys_.push_back(key);
-    tail_ids.emplace(key, id);
-    return id;
-  };
-
-  for (size_t v = first_var; v < vars.size(); ++v) {
-    const Variable& var = vars[v];
-    // Streamed variables are feature-only; DC factors never attach to them
-    // (factor-mode models force a full rebuild instead).
-    HOLO_CHECK(graph.FactorsOfVar(static_cast<int>(v)).empty());
-    size_t cand0 = prior_bias_.size();
-    cand_begin_.push_back(
-        static_cast<int32_t>(cand0 + var.NumCandidates()));
-    is_evidence_.push_back(var.is_evidence ? 1 : 0);
-    init_index_.push_back(var.init_index);
-    fov_begin_.push_back(fov_begin_.back());
-    for (size_t k = 0; k < var.NumCandidates(); ++k) {
-      prior_bias_.push_back(var.prior_bias[k]);
-      for (int32_t i = var.feat_begin[k]; i < var.feat_begin[k + 1]; ++i) {
-        const FeatureInstance& f = var.features[static_cast<size_t>(i)];
-        feat_weight_.push_back(id_of(f.weight_key));
-        feat_act_.push_back(f.activation);
-      }
-      feat_begin_.push_back(static_cast<int64_t>(feat_weight_.size()));
-    }
-  }
-  HOLO_CHECK(prior_bias_.size() < static_cast<size_t>(INT32_MAX));
 }
 
 std::vector<double> CompiledGraph::GatherWeights(

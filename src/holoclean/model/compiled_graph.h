@@ -78,39 +78,17 @@ class CompiledGraph {
                              const CompiledGraphOptions& options = {},
                              ThreadPool* pool = nullptr);
 
-  /// Streaming-append extension: folds the variables
-  /// [first_var, graph.num_variables()) of `graph` — which must be the
-  /// graph this view was built from, grown by feature-only variables (no
-  /// DC factors attach to them) — into the arenas in place. Existing
-  /// entries are untouched: candidate/feature spans append at the tail,
-  /// and weight keys the old graph never referenced get dense ids past the
-  /// sorted prefix (WeightIdOf scans that unsorted tail linearly), so
-  /// every already-stored feat_weight_ id stays valid. The periodic full
-  /// rebuild (stream compaction / resync) restores the fully-sorted key
-  /// order.
-  void AppendVariables(const FactorGraph& graph, size_t first_var);
-
   // --- Dense weight remap ---------------------------------------------------
 
   size_t num_weights() const { return weight_keys_.size(); }
-  /// Dense id -> packed weight key. Keys [0, sorted_weight_prefix())
-  /// ascend; ids past that are append-order (streaming extension).
+  /// Dense id -> packed weight key, ascending.
   const std::vector<uint64_t>& weight_keys() const { return weight_keys_; }
-  /// Length of the sorted prefix of weight_keys(); equal to num_weights()
-  /// on a freshly built graph.
-  size_t sorted_weight_prefix() const { return sorted_weight_prefix_; }
   /// Dense id of a packed key, or -1 when no feature references it.
-  /// Binary search over the sorted prefix plus a linear scan of the
-  /// appended tail — introspection/test path, not used by the hot loops.
+  /// Binary search — introspection/test path, not used by the hot loops.
   int32_t WeightIdOf(uint64_t key) const {
-    auto sorted_end =
-        weight_keys_.begin() + static_cast<ptrdiff_t>(sorted_weight_prefix_);
-    auto it = std::lower_bound(weight_keys_.begin(), sorted_end, key);
-    if (it != sorted_end && *it == key) {
+    auto it = std::lower_bound(weight_keys_.begin(), weight_keys_.end(), key);
+    if (it != weight_keys_.end() && *it == key) {
       return static_cast<int32_t>(it - weight_keys_.begin());
-    }
-    for (size_t i = sorted_weight_prefix_; i < weight_keys_.size(); ++i) {
-      if (weight_keys_[i] == key) return static_cast<int32_t>(i);
     }
     return -1;
   }
@@ -243,10 +221,8 @@ class CompiledGraph {
   double sim_threshold() const { return sim_threshold_; }
 
  private:
-  // Dense weight remap (ids are positions; sorted up to
-  // sorted_weight_prefix_, append-order past it).
+  // Dense weight remap (ids are positions in the sorted key list).
   std::vector<uint64_t> weight_keys_;
-  size_t sorted_weight_prefix_ = 0;
 
   // Variable arenas. cand_begin_ has num_variables()+1 entries; the flat
   // candidate arrays (prior_bias_, unary buffers) are indexed by

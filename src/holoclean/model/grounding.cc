@@ -566,61 +566,4 @@ Result<FactorGraph> Grounder::Ground() {
   return graph;
 }
 
-Status Grounder::GroundAppend(FactorGraph* graph,
-                              const std::vector<CellRef>& query,
-                              const std::vector<CellRef>& evidence) {
-  if (in_.table->dict().size() >= (1ULL << WeightKeyCodec::kValueBits)) {
-    return Status::OutOfRange("dictionary too large for weight-key packing");
-  }
-  std::vector<Variable> query_vars(query.size());
-  std::atomic<bool> failed{false};
-  auto build_query = [&](size_t i) {
-    auto var = BuildVariable(query[i], /*is_evidence=*/false);
-    if (!var.ok()) {
-      failed.store(true);
-      return;
-    }
-    query_vars[i] = std::move(var).value();
-  };
-  if (opt_.pool != nullptr) {
-    opt_.pool->ParallelFor(query_vars.size(), build_query);
-  } else {
-    for (size_t i = 0; i < query_vars.size(); ++i) build_query(i);
-  }
-  if (failed.load()) return Status::Internal("cell has no candidates");
-  for (Variable& var : query_vars) {
-    stats_.num_feature_instances += var.features.size();
-    graph->AddVariable(std::move(var));
-    ++stats_.num_query_vars;
-  }
-
-  std::vector<Variable> evidence_vars(evidence.size());
-  std::vector<char> keep(evidence.size(), 0);
-  auto build_evidence = [&](size_t i) {
-    const CellRef& cell = evidence[i];
-    if (in_.table->Get(cell) == Dictionary::kNull) return;
-    auto var = BuildVariable(cell, /*is_evidence=*/true);
-    if (!var.ok()) {
-      failed.store(true);
-      return;
-    }
-    if (var.value().init_index < 0) return;  // Label outside candidates.
-    evidence_vars[i] = std::move(var).value();
-    keep[i] = 1;
-  };
-  if (opt_.pool != nullptr) {
-    opt_.pool->ParallelFor(evidence_vars.size(), build_evidence);
-  } else {
-    for (size_t i = 0; i < evidence_vars.size(); ++i) build_evidence(i);
-  }
-  if (failed.load()) return Status::Internal("cell has no candidates");
-  for (size_t i = 0; i < evidence_vars.size(); ++i) {
-    if (!keep[i]) continue;
-    stats_.num_feature_instances += evidence_vars[i].features.size();
-    graph->AddVariable(std::move(evidence_vars[i]));
-    ++stats_.num_evidence_vars;
-  }
-  return Status::OK();
-}
-
 }  // namespace holoclean

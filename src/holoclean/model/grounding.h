@@ -99,16 +99,6 @@ class Grounder {
   /// with no candidates).
   Result<FactorGraph> Ground();
 
-  /// Streaming-append grounding: builds variables for the given cells and
-  /// registers them into an existing graph (ids appended after the current
-  /// ones). Construction mirrors Ground() exactly — query cells must have
-  /// candidates; evidence cells that are NULL or whose observed value fell
-  /// outside their candidate set are skipped. DC factors are not extended
-  /// (the streaming tier forces a full re-ground for factor-mode models).
-  /// Stats accumulate onto stats().
-  Status GroundAppend(FactorGraph* graph, const std::vector<CellRef>& query,
-                      const std::vector<CellRef>& evidence);
-
   const Stats& stats() const { return stats_; }
 
  private:

@@ -442,9 +442,8 @@ JsonValue CleaningServer::DoAppendRows(const Request& req) {
 
   // Reuse the warm parked session (or its spilled snapshot) when there is
   // one; open cold otherwise. The stream layer delta-detects only the
-  // blocks the new rows touch, then — serving exact mode — re-runs the
-  // model stages, so repairs are bit-identical to a from-scratch clean of
-  // the grown table.
+  // blocks the new rows touch, then re-runs the model stages, so repairs
+  // are bit-identical to a from-scratch clean of the grown table.
   SessionOptions session_options;
   session_options.config = config;
   session_options.cache_key = key;
@@ -452,16 +451,13 @@ JsonValue CleaningServer::DoAppendRows(const Request& req) {
       CleaningInputs::Owned(slot->dataset, slot->dcs), session_options);
   if (!session.ok()) return ErrorResponse(session.status());
 
-  StreamOptions stream_options;
-  stream_options.mode = StreamMode::kExact;
-  StreamSession stream(&session.value(), stream_options);
+  StreamSession stream(&session.value());
   Result<Report> report = stream.AppendRows(req.rows);
   if (!report.ok()) return ErrorResponse(report.status());
 
   const StreamStats& stats = stream.stats();
   slot->stream_appended_rows += stats.appended_rows;
   slot->stream_batches += stats.batches;
-  slot->stream_compactions += stats.compactions;
   slot->stream_last_batch_seconds = stats.last_batch.total_seconds;
 
   JsonValue resp = OkResponse();
@@ -549,19 +545,18 @@ JsonValue CleaningServer::DoExplainStatus(const Request& req) {
     JsonValue stream = JsonValue::Object();
     stream.Set("appended_rows", JsonValue::Number(uint64_t{0}));
     stream.Set("batches", JsonValue::Number(uint64_t{0}));
-    stream.Set("compactions", JsonValue::Number(uint64_t{0}));
     stream.Set("last_batch_seconds", JsonValue::Number(0.0));
     if (it != slots_.end()) {
       std::lock_guard<std::mutex> slot_lock(it->second->mu);
       has_run = it->second->has_run;
+      // Appends grow the slot's table past the registered rows.
+      resp.Set("rows", JsonValue::Number(static_cast<uint64_t>(
+                           it->second->dataset->dirty().num_rows())));
       stream.Set("appended_rows",
                  JsonValue::Number(static_cast<uint64_t>(
                      it->second->stream_appended_rows)));
       stream.Set("batches", JsonValue::Number(static_cast<uint64_t>(
                                 it->second->stream_batches)));
-      stream.Set("compactions",
-                 JsonValue::Number(static_cast<uint64_t>(
-                     it->second->stream_compactions)));
       stream.Set("last_batch_seconds",
                  JsonValue::Number(it->second->stream_last_batch_seconds));
     }

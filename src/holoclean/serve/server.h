@@ -152,7 +152,6 @@ class CleaningServer {
     /// surfaced as explain_status's per-dataset "stream" object.
     size_t stream_appended_rows = 0;
     size_t stream_batches = 0;
-    size_t stream_compactions = 0;
     double stream_last_batch_seconds = 0.0;
   };
 

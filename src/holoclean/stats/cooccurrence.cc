@@ -109,39 +109,6 @@ CooccurrenceStats CooccurrenceStats::BuildColumnar(
   return stats;
 }
 
-void CooccurrenceStats::AppendRows(const Table& table,
-                                   const std::vector<AttrId>& attrs,
-                                   size_t first_row) {
-  HOLO_CHECK(table.schema().num_attrs() == num_attrs_);
-  HOLO_CHECK(table.dict().size() < (1ULL << kValueBits));
-  for (size_t t = first_row; t < table.num_rows(); ++t) {
-    for (AttrId a : attrs) {
-      ValueId v = table.Get(static_cast<TupleId>(t), a);
-      if (v == Dictionary::kNull) continue;
-      ++value_counts_[KeyAV(a, v)];
-      for (AttrId a_ctx : attrs) {
-        if (a_ctx == a) continue;
-        ValueId v_ctx = table.Get(static_cast<TupleId>(t), a_ctx);
-        if (v_ctx == Dictionary::kNull) continue;
-        auto& list = pair_index_[static_cast<size_t>(a) * num_attrs_ +
-                                 static_cast<size_t>(a_ctx)]
-                         .by_ctx[v_ctx];
-        auto it =
-            std::lower_bound(list.begin(), list.end(), std::make_pair(v, 0));
-        if (it != list.end() && it->first == v) {
-          ++it->second;
-        } else {
-          list.insert(it, {v, 1});
-          ++num_pair_entries_;
-        }
-      }
-    }
-  }
-  for (AttrId a : attrs) {
-    domains_[static_cast<size_t>(a)] = table.ActiveDomain(a);
-  }
-}
-
 int CooccurrenceStats::PairCount(AttrId a, ValueId v, AttrId a_ctx,
                                  ValueId v_ctx) const {
   const auto& list = CooccurringValues(a, a_ctx, v_ctx);

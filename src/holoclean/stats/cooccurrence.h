@@ -32,16 +32,6 @@ class CooccurrenceStats {
                                          const std::vector<AttrId>& attrs,
                                          ThreadPool* pool = nullptr);
 
-  /// Folds rows [first_row, table.num_rows()) into the statistics in place
-  /// (streaming append). Counts, pair lists, and domains end up with
-  /// exactly the contents a from-scratch BuildColumnar over the grown
-  /// table produces — new pair entries are inserted at their sorted
-  /// position — so every consumer (pruning, features) sees bit-identical
-  /// statistics.
-  /// Cost is O(new_rows * |attrs|^2 * log) — independent of the old rows.
-  void AppendRows(const Table& table, const std::vector<AttrId>& attrs,
-                  size_t first_row);
-
   /// #(tuples where attribute a = v and attribute a_ctx = v_ctx).
   int PairCount(AttrId a, ValueId v, AttrId a_ctx, ValueId v_ctx) const;
 
@@ -63,10 +53,6 @@ class CooccurrenceStats {
 
   /// Total number of (attr-pair, value-pair) entries; the memory footprint.
   size_t num_pair_entries() const { return num_pair_entries_; }
-
-  /// True until built: default-constructed statistics, e.g. those of a
-  /// session restored from a snapshot (snapshots do not persist them).
-  bool empty() const { return num_attrs_ == 0; }
 
  private:
   // Packs (a, v) into a 64-bit key. Requires v < 2^32.

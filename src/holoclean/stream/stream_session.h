@@ -9,35 +9,21 @@
 
 namespace holoclean {
 
-/// How AppendRows keeps the model in sync with the growing table.
+/// The one way AppendRows keeps the model in sync with the growing table:
+/// every batch re-compiles the model from the (incrementally maintained)
+/// detect artifacts, so violations, domains, and repairs are bit-identical
+/// to cleaning the final table from scratch. The enum stays only because
+/// holobench's serve_write replay (bench/e2e/serve.cc) sets it, until a
+/// benchmark change can drop it.
 enum class StreamMode {
-  /// Every batch re-compiles the model from the (incrementally maintained)
-  /// detect artifacts: violations, domains, and repairs are bit-identical
-  /// to cleaning the final table from scratch after every batch. Detection
-  /// is still delta-only, so the win over a cold re-clean is the detect
-  /// stage; compile/learn/infer re-run in full.
   kExact,
-  /// Incremental model maintenance: new tuples' variables are grounded
-  /// into the existing factor-graph and compiled arenas, weights are
-  /// warm-started (re-seeded only for feature keys the batch introduces)
-  /// and refined with a few SGD epochs over the batch's evidence, then
-  /// inference and repair extraction re-run over the full model.
-  /// Violations stay bit-identical to a from-scratch clean (detection is
-  /// exact in every mode); repairs may diverge within a bounded window
-  /// until the next resync (see StreamOptions::compact_threshold).
-  kWarm,
 };
 
+/// Has no setting of its own: `mode` has one value. Stays only for the
+/// holobench caller named at StreamMode, until a benchmark change can drop
+/// it.
 struct StreamOptions {
-  StreamMode mode = StreamMode::kWarm;
-  /// Warm mode: SGD epochs over each batch's new evidence variables.
-  int warm_epochs = 3;
-  /// Warm mode: once the rows appended since the last full compile reach
-  /// this fraction of the table size at that compile, the batch ends in a
-  /// resync — a full re-compile that restores bit-identity with a
-  /// from-scratch clean and compacts the appended arena tails (counted in
-  /// StreamStats::compactions). <= 0 resyncs every batch.
-  double compact_threshold = 0.5;
+  StreamMode mode = StreamMode::kExact;
 };
 
 /// Per-batch accounting.
@@ -45,16 +31,14 @@ struct StreamBatchStats {
   size_t rows = 0;
   /// Violations the batch added (net, after the exact merge).
   size_t new_violations = 0;
-  size_t new_query_vars = 0;
-  size_t new_evidence_vars = 0;
-  /// The batch ended in a full re-compile (exact mode, factor-mode model,
-  /// staleness threshold, or degradation after an incremental error).
-  bool resync = false;
   /// The session had never run: the batch fell back to a full Run().
   bool full_run = false;
-  double detect_seconds = 0.0;   ///< Delta detection + merge.
-  double ground_seconds = 0.0;   ///< Incremental ground/weights/warm SGD.
-  double pipeline_seconds = 0.0; ///< The staged re-run (compile.. or infer..).
+  /// Delta detection + merge. Only holobench's serve_write replay reads
+  /// it; it stays until a benchmark change can drop it.
+  double detect_seconds = 0.0;
+  double pipeline_seconds = 0.0; ///< The staged re-run.
+  /// Wall time of the whole AppendRows call. holobench's serve_write
+  /// replay reads it too, so renaming it needs a benchmark change.
   double total_seconds = 0.0;
 };
 
@@ -62,34 +46,28 @@ struct StreamBatchStats {
 struct StreamStats {
   size_t appended_rows = 0;
   size_t batches = 0;
-  /// Full re-compiles while streaming (threshold-triggered or explicit
-  /// Resync()); exact-mode per-batch recompiles are not counted.
-  size_t compactions = 0;
-  /// Rows appended since the model was last fully compiled — the staleness
-  /// bound of warm mode (always 0 in exact mode).
-  size_t appended_since_resync = 0;
   double total_seconds = 0.0;
   /// appended_rows / total wall time spent in AppendRows.
   double tuples_per_sec = 0.0;
+  /// The latest batch. holobench's serve_write replay reads it too, so
+  /// renaming it needs a benchmark change.
   StreamBatchStats last_batch;
 };
 
 /// Streaming ingestion over a Session: appends batches of rows to the
-/// dirty table and incrementally re-cleans, reusing every cached stage
-/// artifact the append does not invalidate. Detection is always exact —
-/// only the blocks the new tuples touch are re-scanned, and the delta is
-/// merged over the cached violations so the detect artifacts match a full
-/// re-detection bit for bit. Downstream, StreamMode picks between exact
-/// per-batch recompilation and warm incremental model maintenance.
+/// dirty table and re-cleans. Detection is incremental and exact — only
+/// the blocks the new tuples touch are re-scanned, and the delta is merged
+/// over the cached violations so the detect artifacts match a full
+/// re-detection bit for bit. Compile, learn, and infer then re-run on the
+/// grown table, so a batch costs about as much as a cold clean of it minus
+/// detection.
 ///
 /// Error handling: a failure before the batch commits rolls the table
 /// back (Table::Truncate) and leaves the session exactly as it was. A
 /// failure after the commit point leaves the appended rows in place with
 /// the suffix stages invalidated — the next Run()/AppendRows heals by
-/// re-executing them. A failure inside warm incremental maintenance
-/// degrades to a full re-compile of the batch, never a corrupt model.
-/// Failpoint sites: stream.append.intern, stream.append.detect,
-/// stream.append.commit, stream.append.ground.
+/// re-executing them. Failpoint sites: stream.append.intern,
+/// stream.append.detect, stream.append.commit.
 ///
 /// The session must outlive the StreamSession. Appends mutate the
 /// session's dataset; when the dataset carries a clean (ground-truth)
@@ -98,7 +76,10 @@ struct StreamStats {
 /// error-free).
 class StreamSession {
  public:
-  explicit StreamSession(Session* session, StreamOptions options = {});
+  /// The options select nothing; the parameter stays only for holobench's
+  /// serve_write replay, which passes it.
+  explicit StreamSession(Session* session, StreamOptions /*options*/ = {})
+      : session_(session) {}
 
   /// Appends `rows` (raw string values, schema arity each) and re-cleans.
   /// Returns the updated report: repairs cover the whole table, not just
@@ -107,24 +88,15 @@ class StreamSession {
       const std::vector<std::vector<std::string>>& rows,
       const std::vector<std::vector<std::string>>* clean_rows = nullptr);
 
-  /// Forces a full re-compile from the committed detect artifacts,
-  /// restoring bit-identity with a from-scratch clean (warm mode's
-  /// explicit compaction). Counted in StreamStats::compactions.
-  Result<Report> Resync();
-
   const StreamStats& stats() const { return stats_; }
   Session* session() { return session_; }
 
  private:
-  /// Incremental model maintenance for rows [old_rows, n). Any error means
-  /// the caller degrades to a full re-compile.
-  Status WarmAppend(size_t old_rows, StreamBatchStats* batch);
+  /// Folds a finished batch into the cumulative stats.
+  void RecordBatch(StreamBatchStats batch);
 
   Session* session_;
-  StreamOptions options_;
   StreamStats stats_;
-  /// Table size at the last full compile (staleness denominator).
-  size_t base_rows_ = 0;
 };
 
 }  // namespace holoclean

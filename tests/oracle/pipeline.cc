@@ -108,8 +108,11 @@ std::string DiffPipeline(const PipelineContext& ctx) {
   }
   if (ctx.noisy.cells() != noisy.cells()) return "detect: noisy cells differ";
 
-  // Stats.
-  diff = DiffCooccurrence(ctx.cooc, CountCooccurrence(table, ctx.attrs),
+  // Stats: the compile stage keeps none, so recompute them the way it
+  // does and check them against the recount.
+  const CooccurrenceStats cooc =
+      CooccurrenceStats::BuildColumnar(table, ctx.attrs);
+  diff = DiffCooccurrence(cooc, CountCooccurrence(table, ctx.attrs),
                           ctx.attrs);
   if (!diff.empty()) return "stats: " + diff;
 
@@ -123,11 +126,11 @@ std::string DiffPipeline(const PipelineContext& ctx) {
   DomainPruningOptions prune;
   prune.tau = config.tau;
   prune.max_candidates = config.max_candidates;
-  if (!(PruneDomains(table, cells, ctx.attrs, ctx.cooc, prune).candidates ==
+  if (!(PruneDomains(table, cells, ctx.attrs, cooc, prune).candidates ==
         ctx.domains.candidates)) {
     return "compile: candidate domains differ";
   }
-  diff = DiffCondProbFeatures(ctx.graph, table, ctx.attrs, ctx.cooc);
+  diff = DiffCondProbFeatures(ctx.graph, table, ctx.attrs, cooc);
   if (!diff.empty()) return "ground: " + diff;
 
   // Learn, infer, repair.

@@ -1,12 +1,10 @@
 // Tests for streaming ingestion (src/holoclean/stream): differential
 // equivalence of batched appends against cleaning the final table from
-// scratch (exact mode: bit-identical violations, domains, and repairs
-// across batch sizes, thread counts, and seeds), warm-mode guarantees
-// (exact violations, bounded repair-quality divergence, resync restoring
-// bit-identity), append-after-restore, failpoint-injected faults leaving
-// the session cleanly recoverable, the append_rows wire op on a warm
-// served session, and the storage/stats append primitives underneath
-// (Table::Truncate, CooccurrenceStats::AppendRows).
+// scratch (bit-identical violations, domains, and repairs across batch
+// sizes, thread counts, and seeds), append-after-restore (eager and lazy),
+// failpoint-injected faults leaving the session cleanly recoverable, the
+// append_rows wire op on a warm served session, and the rollback
+// primitive underneath (Table::Truncate).
 
 #include <gtest/gtest.h>
 
@@ -17,11 +15,9 @@
 #include <utility>
 #include <vector>
 
-#include "holoclean/core/evaluation.h"
 #include "holoclean/data/hospital.h"
 #include "holoclean/serve/protocol.h"
 #include "holoclean/serve/server.h"
-#include "holoclean/stats/cooccurrence.h"
 #include "holoclean/stream/stream_session.h"
 #include "holoclean/util/csv.h"
 #include "holoclean/util/failpoint.h"
@@ -40,9 +36,7 @@ using test_helpers::RestoreSessionOver;
 struct SplitData {
   CsvDocument base;            ///< Header + first `base_rows` dirty rows.
   CsvDocument full;            ///< Header + all dirty rows.
-  CsvDocument clean_base;      ///< Header + first `base_rows` clean rows.
   std::vector<std::vector<std::string>> tail;        ///< Dirty tail rows.
-  std::vector<std::vector<std::string>> clean_tail;  ///< Ground-truth tail.
   std::vector<DenialConstraint> dcs;
   std::string dc_text;         ///< Re-parsable constraint listing (wire).
 };
@@ -55,16 +49,12 @@ SplitData MakeSplit(size_t total_rows, size_t base_rows, uint64_t seed) {
   GeneratedData data = MakeHospital(options);
   SplitData split;
   split.full = data.dataset.dirty().ToCsv();
-  CsvDocument clean_doc = data.dataset.clean().ToCsv();
   split.base.header = split.full.header;
-  split.clean_base.header = clean_doc.header;
   for (size_t i = 0; i < split.full.rows.size(); ++i) {
     if (i < base_rows) {
       split.base.rows.push_back(split.full.rows[i]);
-      split.clean_base.rows.push_back(clean_doc.rows[i]);
     } else {
       split.tail.push_back(split.full.rows[i]);
-      split.clean_tail.push_back(clean_doc.rows[i]);
     }
   }
   for (const DenialConstraint& dc : data.dcs) {
@@ -145,8 +135,7 @@ struct StreamOutcome {
 };
 
 StreamOutcome RunStreamed(const HoloCleanConfig& config,
-                          const SplitData& split, size_t batch_rows,
-                          StreamOptions stream_options) {
+                          const SplitData& split, size_t batch_rows) {
   auto table = Table::FromCsv(split.base);
   EXPECT_TRUE(table.ok()) << table.status();
   Dataset dataset(std::move(table).value());
@@ -155,7 +144,7 @@ StreamOutcome RunStreamed(const HoloCleanConfig& config,
   auto initial = session.value().RunThrough(StageId::kRepair);
   EXPECT_TRUE(initial.ok()) << initial.status();
 
-  StreamSession stream(&session.value(), stream_options);
+  StreamSession stream(&session.value());
   Report report = initial.value();
   for (size_t begin = 0; begin < split.tail.size(); begin += batch_rows) {
     size_t end = begin + batch_rows < split.tail.size()
@@ -183,18 +172,13 @@ TEST(Stream, ExactModeIsBitIdenticalAcrossBatchSizes) {
   Artifacts scratch = RunScratch(config, split);
   ASSERT_FALSE(scratch.repairs.empty());
 
-  StreamOptions exact;
-  exact.mode = StreamMode::kExact;
   for (size_t batch_rows : {size_t{1}, size_t{16}, size_t{64}}) {
     SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
-    StreamOutcome streamed = RunStreamed(config, split, batch_rows, exact);
+    StreamOutcome streamed = RunStreamed(config, split, batch_rows);
     ExpectViolationsEqual(scratch.violations, streamed.artifacts.violations);
     EXPECT_EQ(scratch.domains, streamed.artifacts.domains);
     ExpectRepairsBitIdentical(scratch.repairs, streamed.artifacts.repairs);
     EXPECT_EQ(streamed.stats.appended_rows, split.tail.size());
-    // Exact mode recompiles per batch but never counts compactions.
-    EXPECT_EQ(streamed.stats.compactions, 0u);
-    EXPECT_EQ(streamed.stats.appended_since_resync, 0u);
   }
 }
 
@@ -208,9 +192,7 @@ TEST(Stream, ExactModeIsBitIdenticalAcrossThreadCountsAndSeeds) {
       config.seed = seed;
       config.num_threads = threads;
       Artifacts scratch = RunScratch(config, split);
-      StreamOptions exact;
-      exact.mode = StreamMode::kExact;
-      StreamOutcome streamed = RunStreamed(config, split, 16, exact);
+      StreamOutcome streamed = RunStreamed(config, split, 16);
       ExpectViolationsEqual(scratch.violations,
                             streamed.artifacts.violations);
       EXPECT_EQ(scratch.domains, streamed.artifacts.domains);
@@ -239,132 +221,6 @@ TEST(Stream, AppendOnNeverRunSessionFallsBackToFullRun) {
   ExpectRepairsBitIdentical(scratch.repairs, streamed.repairs);
 }
 
-// --- Warm mode ---------------------------------------------------------------
-
-TEST(Stream, WarmModeViolationsExactAndQualityBounded) {
-  SplitData split = MakeSplit(180, 132, 7400);
-  HoloCleanConfig config = FastConfig();
-  Artifacts scratch = RunScratch(config, split);
-
-  // Threshold high enough that no batch triggers a resync: the model is
-  // maintained purely incrementally across the whole tail.
-  StreamOptions warm;
-  warm.mode = StreamMode::kWarm;
-  warm.compact_threshold = 10.0;
-
-  auto table = Table::FromCsv(split.base);
-  ASSERT_TRUE(table.ok());
-  Dataset dataset(std::move(table).value());
-  // Aligned ground truth so quality is scorable after the appends.
-  {
-    Table clean(dataset.dirty().schema(), dataset.dirty().dict_ptr());
-    for (const auto& row : split.clean_base.rows) clean.AppendRow(row);
-    dataset.set_clean(std::move(clean));
-  }
-  auto session = OpenSessionOver(config, &dataset, split.dcs);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session.value().RunThrough(StageId::kRepair).ok());
-
-  StreamSession stream(&session.value(), warm);
-  Report report;
-  const size_t batch_rows = 16;
-  for (size_t begin = 0; begin < split.tail.size(); begin += batch_rows) {
-    size_t end = begin + batch_rows < split.tail.size()
-                     ? begin + batch_rows
-                     : split.tail.size();
-    std::vector<std::vector<std::string>> batch(
-        split.tail.begin() + static_cast<std::ptrdiff_t>(begin),
-        split.tail.begin() + static_cast<std::ptrdiff_t>(end));
-    std::vector<std::vector<std::string>> clean_batch(
-        split.clean_tail.begin() + static_cast<std::ptrdiff_t>(begin),
-        split.clean_tail.begin() + static_cast<std::ptrdiff_t>(end));
-    auto updated = stream.AppendRows(batch, &clean_batch);
-    ASSERT_TRUE(updated.ok()) << updated.status();
-    EXPECT_FALSE(stream.stats().last_batch.resync);
-    report = updated.value();
-  }
-  EXPECT_EQ(stream.stats().compactions, 0u);
-  EXPECT_EQ(stream.stats().appended_since_resync, split.tail.size());
-
-  // Detection is exact in every mode: violations match scratch bit for
-  // bit even though the model was maintained incrementally.
-  ExpectViolationsEqual(scratch.violations,
-                        session.value().context().violations);
-
-  // Repairs may diverge (warm-started weights), but quality must stay in
-  // a bounded window of the from-scratch run.
-  EvalResult warm_eval = EvaluateRepairs(dataset, report.repairs);
-  auto scratch_table = Table::FromCsv(split.full);
-  ASSERT_TRUE(scratch_table.ok());
-  Dataset scratch_dataset(std::move(scratch_table).value());
-  {
-    Table clean(scratch_dataset.dirty().schema(),
-                scratch_dataset.dirty().dict_ptr());
-    for (const auto& row : split.clean_base.rows) clean.AppendRow(row);
-    for (const auto& row : split.clean_tail) clean.AppendRow(row);
-    scratch_dataset.set_clean(std::move(clean));
-  }
-  EvalResult scratch_eval =
-      EvaluateRepairs(scratch_dataset, scratch.repairs);
-  EXPECT_GE(warm_eval.f1, scratch_eval.f1 - 0.15)
-      << "warm f1 " << warm_eval.f1 << " vs scratch f1 " << scratch_eval.f1;
-
-  // An explicit resync compacts the appended arenas and restores
-  // bit-identity with a from-scratch clean. The reference dataset must
-  // replay the streamed dataset's exact interning order (base dirty,
-  // base clean, then per batch the dirty rows followed by their clean
-  // mirrors) so ValueIds line up — with a ground-truth table in play,
-  // "the final table" includes the clean rows' dictionary entries.
-  auto resynced = stream.Resync();
-  ASSERT_TRUE(resynced.ok()) << resynced.status();
-  EXPECT_EQ(stream.stats().compactions, 1u);
-  EXPECT_EQ(stream.stats().appended_since_resync, 0u);
-  Artifacts after = Capture(session.value(), resynced.value());
-
-  auto replay_table = Table::FromCsv(split.base);
-  ASSERT_TRUE(replay_table.ok());
-  Dataset replay(std::move(replay_table).value());
-  {
-    Table clean(replay.dirty().schema(), replay.dirty().dict_ptr());
-    for (const auto& row : split.clean_base.rows) clean.AppendRow(row);
-    replay.set_clean(std::move(clean));
-  }
-  for (size_t begin = 0; begin < split.tail.size(); begin += batch_rows) {
-    size_t end = begin + batch_rows < split.tail.size()
-                     ? begin + batch_rows
-                     : split.tail.size();
-    for (size_t i = begin; i < end; ++i) {
-      replay.dirty().AppendRow(split.tail[i]);
-    }
-    for (size_t i = begin; i < end; ++i) {
-      replay.clean().AppendRow(split.clean_tail[i]);
-    }
-  }
-  auto replay_session = OpenSessionOver(config, &replay, split.dcs);
-  ASSERT_TRUE(replay_session.ok());
-  auto replay_report = replay_session.value().RunThrough(StageId::kRepair);
-  ASSERT_TRUE(replay_report.ok());
-  Artifacts reference =
-      Capture(replay_session.value(), replay_report.value());
-  ExpectViolationsEqual(reference.violations, after.violations);
-  EXPECT_EQ(reference.domains, after.domains);
-  ExpectRepairsBitIdentical(reference.repairs, after.repairs);
-}
-
-TEST(Stream, WarmModeStalenessThresholdTriggersCompaction) {
-  SplitData split = MakeSplit(160, 100, 8500);
-  HoloCleanConfig config = FastConfig();
-  StreamOptions warm;
-  warm.mode = StreamMode::kWarm;
-  warm.compact_threshold = 0.25;  // 25 rows over a 100-row base.
-  StreamOutcome streamed = RunStreamed(config, split, 20, warm);
-  EXPECT_GE(streamed.stats.compactions, 1u);
-  // After compaction the streamed state equals the from-scratch clean if
-  // the last batch resynced; either way violations stay exact.
-  Artifacts scratch = RunScratch(config, split);
-  ExpectViolationsEqual(scratch.violations, streamed.artifacts.violations);
-}
-
 // --- Restore interplay -------------------------------------------------------
 
 TEST(Stream, AppendAfterSnapshotRestoreMatchesScratch) {
@@ -383,70 +239,27 @@ TEST(Stream, AppendAfterSnapshotRestoreMatchesScratch) {
     ASSERT_TRUE(session.value().RunThrough(StageId::kRepair).ok());
     ASSERT_TRUE(session.value().Save(snapshot, {}).ok());
   }
-  auto restored = RestoreSessionOver(config, snapshot, &dataset, split.dcs);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-
-  StreamOptions exact;
-  exact.mode = StreamMode::kExact;
-  StreamSession stream(&restored.value(), exact);
-  auto report = stream.AppendRows(split.tail);
-  ASSERT_TRUE(report.ok()) << report.status();
-  Artifacts streamed = Capture(restored.value(), report.value());
-  ExpectViolationsEqual(scratch.violations, streamed.violations);
-  EXPECT_EQ(scratch.domains, streamed.domains);
-  ExpectRepairsBitIdentical(scratch.repairs, streamed.repairs);
-  std::remove(snapshot.c_str());
-}
-
-TEST(Stream, WarmAppendAfterRestoreMatchesLiveSession) {
-  // A session just restored from a snapshot has no compiled view (and,
-  // restored lazily, no materialized graph): its warm append compiles the
-  // grown graph whole, and must land on exactly the weights and repairs
-  // the same append produces on the live session, whose compiled arenas
-  // grow in place.
-  SplitData split = MakeSplit(150, 120, 9700);
-  HoloCleanConfig config = FastConfig();
-  StreamOptions warm;
-  warm.mode = StreamMode::kWarm;
-  warm.compact_threshold = 10.0;
-  std::vector<std::vector<std::string>> batch(split.tail.begin(),
-                                              split.tail.begin() + 16);
-  std::string snapshot =
-      ::testing::TempDir() + "stream_warm_restore_snapshot.hcsnap";
-
-  auto live_table = Table::FromCsv(split.base);
-  ASSERT_TRUE(live_table.ok());
-  Dataset live_data(std::move(live_table).value());
-  auto live = OpenSessionOver(config, &live_data, split.dcs);
-  ASSERT_TRUE(live.ok());
-  ASSERT_TRUE(live.value().RunThrough(StageId::kRepair).ok());
-  ASSERT_TRUE(live.value().Save(snapshot, {}).ok());
-  StreamSession live_stream(&live.value(), warm);
-  auto live_report = live_stream.AppendRows(batch);
-  ASSERT_TRUE(live_report.ok()) << live_report.status();
-  EXPECT_FALSE(live_stream.stats().last_batch.resync);
-
+  // A lazy restore defers the factor-graph section, which the append's
+  // re-compile then drops unread.
   for (bool lazy : {false, true}) {
-    auto table = Table::FromCsv(split.base);
-    ASSERT_TRUE(table.ok());
-    Dataset dataset(std::move(table).value());
+    SCOPED_TRACE(lazy ? "lazy restore" : "eager restore");
+    auto restored_table = Table::FromCsv(split.base);
+    ASSERT_TRUE(restored_table.ok());
+    Dataset restored_data(std::move(restored_table).value());
     SnapshotLoadOptions load;
     load.lazy_graph = lazy;
-    auto restored = RestoreSessionOver(config, snapshot, &dataset, split.dcs,
-                                       nullptr, nullptr, nullptr, load);
+    auto restored = RestoreSessionOver(config, snapshot, &restored_data,
+                                       split.dcs, nullptr, nullptr, nullptr,
+                                       load);
     ASSERT_TRUE(restored.ok()) << restored.status();
-    ASSERT_EQ(restored.value().context().compiled, nullptr);
-    StreamSession stream(&restored.value(), warm);
-    auto report = stream.AppendRows(batch);
+
+    StreamSession stream(&restored.value());
+    auto report = stream.AppendRows(split.tail);
     ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_FALSE(stream.stats().last_batch.resync) << "lazy " << lazy;
-    EXPECT_EQ(restored.value().context().graph.num_variables(),
-              live.value().context().graph.num_variables())
-        << "lazy " << lazy;
-    EXPECT_EQ(restored.value().weights().raw(), live.value().weights().raw())
-        << "lazy " << lazy;
-    ExpectRepairsBitIdentical(live_report.value().repairs,
-                              report.value().repairs);
+    Artifacts streamed = Capture(restored.value(), report.value());
+    ExpectViolationsEqual(scratch.violations, streamed.violations);
+    EXPECT_EQ(scratch.domains, streamed.domains);
+    ExpectRepairsBitIdentical(scratch.repairs, streamed.repairs);
   }
   std::remove(snapshot.c_str());
 }
@@ -477,9 +290,7 @@ TEST(Stream, InjectedFaultsRollBackAndStayRecoverable) {
     const size_t base_rows = dataset.dirty().num_rows();
     const size_t base_violations = session.value().context().violations.size();
 
-    StreamOptions exact;
-    exact.mode = StreamMode::kExact;
-    StreamSession stream(&session.value(), exact);
+    StreamSession stream(&session.value());
     {
       ScopedFailpoints armed(fc.profile);
       auto failed = stream.AppendRows(split.tail);
@@ -498,35 +309,6 @@ TEST(Stream, InjectedFaultsRollBackAndStayRecoverable) {
     ExpectViolationsEqual(scratch.violations, streamed.violations);
     ExpectRepairsBitIdentical(scratch.repairs, streamed.repairs);
   }
-}
-
-TEST(Stream, WarmIncrementalFaultDegradesToResyncNotCorruption) {
-  SplitData split = MakeSplit(140, 120, 2800);
-  HoloCleanConfig config = FastConfig();
-  Artifacts scratch = RunScratch(config, split);
-
-  auto table = Table::FromCsv(split.base);
-  ASSERT_TRUE(table.ok());
-  Dataset dataset(std::move(table).value());
-  auto session = OpenSessionOver(config, &dataset, split.dcs);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session.value().RunThrough(StageId::kRepair).ok());
-
-  StreamOptions warm;
-  warm.mode = StreamMode::kWarm;
-  warm.compact_threshold = 10.0;
-  StreamSession stream(&session.value(), warm);
-  ScopedFailpoints armed("stream.append.ground=always/error");
-  auto report = stream.AppendRows(split.tail);
-  // The incremental step failed, but the batch itself succeeds by
-  // degrading to a full re-compile — which also restores bit-identity.
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_TRUE(stream.stats().last_batch.resync);
-  EXPECT_EQ(stream.stats().compactions, 1u);
-  Artifacts streamed = Capture(session.value(), report.value());
-  ExpectViolationsEqual(scratch.violations, streamed.violations);
-  EXPECT_EQ(scratch.domains, streamed.domains);
-  ExpectRepairsBitIdentical(scratch.repairs, streamed.repairs);
 }
 
 // --- Wire surface ------------------------------------------------------------
@@ -589,18 +371,21 @@ TEST(Stream, AppendRowsOverWireMatchesBatchBaseline) {
   ASSERT_NE(baseline_repairs, nullptr);
   EXPECT_EQ(append_repairs->Dump(), baseline_repairs->Dump());
 
-  // explain_status surfaces the per-session stream counters.
+  // explain_status surfaces the per-session stream counters and the rows
+  // of the grown table, not the registered base.
   serve::Request status;
   status.op = serve::Op::kExplainStatus;
   status.tenant = "stream";
   status.dataset = "hospital";
   JsonValue st = frame(status);
   ASSERT_TRUE(st.GetBool("ok")) << st.Dump();
+  EXPECT_EQ(st.GetInt("rows"), static_cast<int64_t>(split.full.rows.size()));
   const JsonValue* stream_obj = st.Find("stream");
   ASSERT_NE(stream_obj, nullptr);
   EXPECT_EQ(stream_obj->GetInt("appended_rows"),
             static_cast<int64_t>(split.tail.size()));
   EXPECT_GE(stream_obj->GetInt("batches"), 1);
+  EXPECT_EQ(stream_obj->Find("compactions"), nullptr);
 
   serve::Request bad;
   bad.op = serve::Op::kAppendRows;
@@ -631,40 +416,6 @@ TEST(Stream, TableTruncateRestoresExactPreAppendState) {
   // The serialized form round-trips too (codes, counts, and the decoded
   // mirror all rolled back together).
   EXPECT_EQ(WriteCsv(t.ToCsv()), WriteCsv(original.ToCsv()));
-}
-
-TEST(Stream, CooccurrenceAppendMatchesFullRebuild) {
-  SplitData split = MakeSplit(140, 100, 4321);
-  auto table = Table::FromCsv(split.base);
-  ASSERT_TRUE(table.ok());
-  Table& t = table.value();
-  std::vector<AttrId> attrs;
-  for (AttrId a = 0; a < static_cast<AttrId>(t.schema().num_attrs()); ++a) {
-    attrs.push_back(a);
-  }
-  CooccurrenceStats incremental = CooccurrenceStats::BuildColumnar(t, attrs);
-  const size_t base_rows = t.num_rows();
-  for (const auto& row : split.tail) t.AppendRow(row);
-  incremental.AppendRows(t, attrs, base_rows);
-  CooccurrenceStats full = CooccurrenceStats::BuildColumnar(t, attrs);
-
-  EXPECT_EQ(incremental.num_pair_entries(), full.num_pair_entries());
-  for (AttrId a : attrs) {
-    EXPECT_EQ(incremental.Domain(a), full.Domain(a)) << "attr " << a;
-    for (ValueId v : full.Domain(a)) {
-      EXPECT_EQ(incremental.Count(a, v), full.Count(a, v));
-    }
-  }
-  for (AttrId a : attrs) {
-    for (AttrId a_ctx : attrs) {
-      if (a == a_ctx) continue;
-      for (ValueId v_ctx : full.Domain(a_ctx)) {
-        EXPECT_EQ(incremental.CooccurringValues(a, a_ctx, v_ctx),
-                  full.CooccurringValues(a, a_ctx, v_ctx))
-            << "a=" << a << " ctx=" << a_ctx << " v=" << v_ctx;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 //   holoclean --data growing.csv --constraints dcs.txt --follow
 //             [--follow-batch-rows 64] [--follow-poll-ms 500]
 //             [--follow-max-batches N] [--follow-idle-polls N]
-//             [--follow-mode warm|exact]
 //
 // Constraint file: one denial constraint per line, e.g.
 //   t1&t2&EQ(t1.Zip,t2.Zip)&IQ(t1.City,t2.City)
@@ -94,7 +93,6 @@ struct CliOptions {
   /// (0 = unlimited) or this many consecutive empty polls (0 = forever).
   int follow_max_batches = 0;
   int follow_idle_polls = 0;
-  StreamMode follow_mode = StreamMode::kWarm;
   HoloCleanConfig config;
   bool show_help = false;
 };
@@ -162,16 +160,14 @@ void PrintUsage() {
       "                        DC factor; larger factors fall back to the\n"
       "                        evaluator (default 4096)\n"
       "  --follow              after the initial clean, keep polling --data\n"
-      "                        for appended rows and incrementally re-clean\n"
-      "                        each batch (streaming ingestion)\n"
+      "                        for appended rows and re-clean after each\n"
+      "                        batch (streaming ingestion; repairs match a\n"
+      "                        one-shot clean of the grown file)\n"
       "  --follow-batch-rows N max rows ingested per batch (default 64)\n"
       "  --follow-poll-ms N    poll interval in milliseconds (default 500)\n"
       "  --follow-max-batches N  stop after N batches (0 = unlimited)\n"
       "  --follow-idle-polls N stop after N consecutive empty polls\n"
-      "                        (0 = poll forever)\n"
-      "  --follow-mode M       warm (default) maintains the model\n"
-      "                        incrementally; exact re-compiles per batch\n"
-      "                        for bit-identical-to-scratch repairs\n");
+      "                        (0 = poll forever)\n");
 }
 
 Result<CliOptions> ParseArgs(int argc, char** argv) {
@@ -271,15 +267,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       options.follow_max_batches = std::atoi(value.c_str());
     } else if (arg == "--follow-idle-polls") {
       options.follow_idle_polls = std::atoi(value.c_str());
-    } else if (arg == "--follow-mode") {
-      if (value == "warm") {
-        options.follow_mode = StreamMode::kWarm;
-      } else if (value == "exact") {
-        options.follow_mode = StreamMode::kExact;
-      } else {
-        return Status::InvalidArgument("unknown --follow-mode: " + value +
-                                       " (expected warm|exact)");
-      }
     } else if (arg == "--mode") {
       if (value == "feats") {
         options.config.dc_mode = DcMode::kFeatures;
@@ -625,7 +612,8 @@ Status FinishRun(const CliOptions& options, const Dataset& dataset,
 /// --follow: streaming ingestion. Cleans --data once, then keeps polling
 /// it for appended rows; each poll's delta is ingested in batches of at
 /// most --follow-batch-rows through StreamSession::AppendRows (delta
-/// detection + incremental re-clean). The whole CSV is re-read and
+/// detection, then a re-run of the model stages, so the final output
+/// matches a one-shot clean of the grown file). The whole CSV is re-read and
 /// re-parsed on every poll — robust to quoted newlines, which byte-offset
 /// tailing would split mid-record — and rows beyond the already-ingested
 /// count form the delta. Stops after --follow-max-batches batches or
@@ -699,9 +687,7 @@ Status RunFollowCli(const CliOptions& options) {
               report.stats.num_noisy_cells, report.repairs.size());
   PrintStageTimings(report.stats);
 
-  StreamOptions stream_options;
-  stream_options.mode = options.follow_mode;
-  StreamSession stream(&session, stream_options);
+  StreamSession stream(&session);
 
   int batches = 0;
   int idle_polls = 0;
@@ -743,18 +729,16 @@ Status RunFollowCli(const CliOptions& options) {
       ++batches;
       const StreamBatchStats& b = stream.stats().last_batch;
       std::printf(
-          "batch %d: +%zu rows  %zu new violations  %zu repairs  %.3fs%s%s  "
+          "batch %d: +%zu rows  %zu new violations  %zu repairs  %.3fs%s  "
           "(%.0f tuples/sec)\n",
           batches, b.rows, b.new_violations, report.repairs.size(),
-          b.total_seconds, b.resync ? "  [resync]" : "",
-          b.full_run ? "  [full run]" : "", stream.stats().tuples_per_sec);
+          b.total_seconds, b.full_run ? "  [full run]" : "",
+          stream.stats().tuples_per_sec);
     }
   }
-  std::printf(
-      "follow done: %zu rows in %zu batches (%zu compactions), %.2fs "
-      "streaming\n",
-      stream.stats().appended_rows, stream.stats().batches,
-      stream.stats().compactions, stream.stats().total_seconds);
+  std::printf("follow done: %zu rows in %zu batches, %.2fs streaming\n",
+              stream.stats().appended_rows, stream.stats().batches,
+              stream.stats().total_seconds);
   return FinishRun(options, dataset, report);
 }
 
