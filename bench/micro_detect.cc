@@ -1,11 +1,15 @@
 // Wall time of the detect+compile scans — violation detection, the
-// co-occurrence statistics, and domain pruning — on the production
-// columnar paths vs the row-at-a-time references in tests/oracle/, on
+// co-occurrence statistics, and domain pruning — on the production paths
+// (the pipeline's ViolationDetector::DetectSet, which keeps FD-shaped
+// constraints as conflict blocks, and the columnar scans) vs the
+// row-at-a-time references in tests/oracle/ (a materialized pair list), on
 // generated Food at three sizes. Both sides scan identical data, so the
-// bench doubles as a bit-identity cross-check of the violations, the
-// noisy set, the statistics, and the candidate domains. CI pins the
-// columnar-vs-row speedup at the largest size against the committed
-// BENCH_ci.json ratio.
+// bench doubles as a cross-check: the noisy cells in order, the
+// per-constraint violation counts, the tuple groups, and the truncated
+// constraints must equal what the pair list implies, and the statistics
+// and candidate domains must be identical; any difference exits 1. CI
+// pins the production-vs-row speedup at the largest size against the
+// committed BENCH_ci.json ratio.
 
 #include <cstdio>
 #include <string>
@@ -24,8 +28,6 @@ namespace {
 struct ScanRun {
   double detect = 0.0;
   double compile = 0.0;  ///< Statistics + domain pruning.
-  DetectResult detected;
-  NoisyCells noisy;
   PrunedDomains domains;
 };
 
@@ -35,7 +37,7 @@ int main() {
   const std::vector<std::pair<std::string, size_t>> sizes = {
       {"4k", 4000}, {"40k", 40000}, {"100k", 100000}};
   std::printf("Detect+compile scans (detection, statistics, pruning): "
-              "columnar vs row reference (generated Food)\n\n");
+              "production vs row reference (generated Food)\n\n");
 
   std::vector<int> widths = {6, 9, 13, 13, 13, 13, 12, 9};
   PrintRule(widths);
@@ -66,14 +68,14 @@ int main() {
     ViolationDetector::Options options;
     options.sim_threshold = config.sim_threshold;
     options.pool = &pool;
-    col.detected = ViolationDetector(&table, &data.dcs, options).DetectAll();
-    col.noisy = ViolationDetector::NoisyFromViolations(col.detected.violations);
+    DetectArtifacts detected =
+        ViolationDetector(&table, &data.dcs, options).DetectSet();
     col.detect = timer.Seconds();
     // The compile stage's pruning input: the noisy cells plus its
     // evidence sample.
-    std::vector<CellRef> cells = col.noisy.cells();
+    std::vector<CellRef> cells = detected.noisy.cells();
     std::vector<CellRef> evidence =
-        oracle::EvidenceSample(table, attrs, col.noisy, config);
+        oracle::EvidenceSample(table, attrs, detected.noisy, config);
     cells.insert(cells.end(), evidence.begin(), evidence.end());
     timer.Reset();
     CooccurrenceStats cooc =
@@ -83,10 +85,11 @@ int main() {
 
     ScanRun row;
     timer.Reset();
-    row.detected =
+    DetectResult pairs =
         oracle::DetectViolations(table, data.dcs, config.sim_threshold);
-    for (const Violation& v : row.detected.violations) {
-      for (const CellRef& c : v.cells) row.noisy.Add(c);
+    NoisyCells row_noisy;
+    for (const Violation& v : pairs.violations) {
+      for (const CellRef& c : v.cells) row_noisy.Add(c);
     }
     row.detect = timer.Seconds();
     timer.Reset();
@@ -95,22 +98,25 @@ int main() {
     row.domains = oracle::PruneDomains(table, cells, attrs, cooc, prune);
     row.compile = timer.Seconds();
 
-    std::string cooc_diff = oracle::DiffCooccurrence(cooc, recount, attrs);
-    if (!oracle::DiffViolations(col.detected.violations,
-                                row.detected.violations)
-             .empty() ||
-        col.detected.truncated_dcs != row.detected.truncated_dcs ||
-        col.noisy.cells() != row.noisy.cells() || !cooc_diff.empty() ||
-        !(col.domains.candidates == row.domains.candidates)) {
+    // Noisy cells in order, per-constraint counts, tuple groups, and
+    // truncation against the pair list; then statistics and domains.
+    std::string diff = oracle::DiffViolationSet(
+        detected.violations, detected.noisy, pairs, table.num_rows());
+    if (diff.empty()) {
+      diff = oracle::DiffCooccurrence(cooc, recount, attrs);
+      if (!diff.empty()) diff = "statistics: " + diff;
+    }
+    if (diff.empty() && !(col.domains.candidates == row.domains.candidates)) {
+      diff = "candidate domains differ";
+    }
+    if (!diff.empty()) {
       std::fprintf(stderr,
-                   "columnar/row results diverge at %s (violations %zu vs "
-                   "%zu, noisy %zu vs %zu, candidates %zu vs %zu%s%s)\n",
-                   label.c_str(), col.detected.violations.size(),
-                   row.detected.violations.size(), col.noisy.size(),
-                   row.noisy.size(), col.domains.TotalCandidates(),
-                   row.domains.TotalCandidates(),
-                   cooc_diff.empty() ? "" : ", statistics: ",
-                   cooc_diff.c_str());
+                   "production/row results diverge at %s (violations %zu vs "
+                   "%zu, noisy %zu vs %zu, candidates %zu vs %zu): %s\n",
+                   label.c_str(), detected.violations.size(),
+                   pairs.violations.size(), detected.noisy.size(),
+                   row_noisy.size(), col.domains.TotalCandidates(),
+                   row.domains.TotalCandidates(), diff.c_str());
       return 1;
     }
     const double col_total = col.detect + col.compile;
@@ -131,8 +137,9 @@ int main() {
     largest_speedup = speedup;
   }
   PrintRule(widths);
-  std::printf("(violations, noisy set, statistics, and candidate domains "
-              "bit-identical across paths at every size)\n");
+  std::printf("(noisy cells, violation counts, tuple groups, truncation, "
+              "statistics, and candidate domains identical across paths at "
+              "every size)\n");
   AppendBenchMetric("micro_detect", "speedup_100k", largest_speedup);
   return 0;
 }

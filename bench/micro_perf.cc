@@ -69,9 +69,8 @@ void BM_DomainPruning(benchmark::State& state) {
   std::vector<AttrId> attrs = data.dataset.RepairableAttrs();
   CooccurrenceStats cooc =
       CooccurrenceStats::BuildColumnar(data.dataset.dirty(), attrs);
-  ViolationDetector detector(&data.dataset.dirty(), &data.dcs);
   NoisyCells noisy =
-      ViolationDetector::NoisyFromViolations(detector.Detect());
+      ViolationDetector(&data.dataset.dirty(), &data.dcs).DetectSet().noisy;
   DomainPruningOptions options;
   options.tau = static_cast<double>(state.range(0)) / 10.0;
   for (auto _ : state) {
@@ -88,9 +87,9 @@ struct GroundedModel {
     attrs = data.dataset.RepairableAttrs();
     table = &data.dataset.dirty();
     cooc = CooccurrenceStats::BuildColumnar(*table, attrs);
-    ViolationDetector detector(table, &data.dcs);
-    violations = detector.Detect();
-    noisy = ViolationDetector::NoisyFromViolations(violations);
+    DetectArtifacts detected = ViolationDetector(table, &data.dcs).DetectSet();
+    violations = std::move(detected.violations);
+    noisy = std::move(detected.noisy);
     for (size_t t = 0; t < table->num_rows(); ++t) {
       for (AttrId a : attrs) {
         CellRef c{static_cast<TupleId>(t), a};
@@ -121,7 +120,7 @@ struct GroundedModel {
   const Table* table;
   std::vector<AttrId> attrs;
   CooccurrenceStats cooc;
-  std::vector<Violation> violations;
+  ViolationSet violations;
   NoisyCells noisy;
   std::vector<CellRef> evidence;
   PrunedDomains domains;

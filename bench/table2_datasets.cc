@@ -24,12 +24,12 @@ int main() {
   PrintRule(widths);
   for (const std::string& name : AllDatasetNames()) {
     GeneratedData data = MakeDataset(name);
-    ViolationDetector detector(&data.dataset.dirty(), &data.dcs);
-    auto violations = detector.Detect();
-    NoisyCells noisy = ViolationDetector::NoisyFromViolations(violations);
+    DetectArtifacts detected =
+        ViolationDetector(&data.dataset.dirty(), &data.dcs).DetectSet();
     PrintRow({name, std::to_string(data.dataset.dirty().num_rows()),
               std::to_string(data.dataset.dirty().schema().num_attrs()),
-              std::to_string(violations.size()), std::to_string(noisy.size()),
+              std::to_string(detected.violations.size()),
+              std::to_string(detected.noisy.size()),
               std::to_string(data.dcs.size()) + " DCs"},
              widths);
   }

@@ -59,6 +59,23 @@ std::vector<const Predicate*> DenialConstraint::CrossEqualities() const {
   return out;
 }
 
+AttrId DenialConstraint::FdTargetAttr() const {
+  AttrId target = -1;
+  for (const Predicate& p : preds) {
+    if (p.rhs_is_constant || p.lhs_tuple == p.rhs_tuple ||
+        p.lhs_attr != p.rhs_attr) {
+      return -1;
+    }
+    if (p.op == Op::kNeq) {
+      if (target >= 0) return -1;
+      target = p.lhs_attr;
+    } else if (p.op != Op::kEq) {
+      return -1;
+    }
+  }
+  return target;
+}
+
 std::string DenialConstraint::ToString(const Schema& schema) const {
   std::ostringstream os;
   os << "t1";

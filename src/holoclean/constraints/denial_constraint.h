@@ -61,6 +61,12 @@ struct DenialConstraint {
   /// the violation detector to avoid the quadratic pair scan.
   std::vector<const Predicate*> CrossEqualities() const;
 
+  /// The attribute of the single ≠ predicate when the constraint is
+  /// FD-shaped — every predicate compares one attribute of t1 with the
+  /// same attribute of t2, all with = except exactly one ≠ (the form
+  /// FdToDenialConstraints emits) — and -1 otherwise.
+  AttrId FdTargetAttr() const;
+
   /// Textual form in the parser's format, e.g.
   /// "t1&t2&EQ(t1.Zip,t2.Zip)&IQ(t1.City,t2.City)".
   std::string ToString(const Schema& schema) const;

@@ -2,6 +2,7 @@
 #define HOLOCLEAN_CORE_PIPELINE_CONTEXT_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "holoclean/core/config.h"
@@ -69,7 +70,9 @@ struct PipelineContext {
 
   // --- DetectStage artifacts ---
   std::vector<AttrId> attrs;
-  std::vector<Violation> violations;
+  /// Per constraint: conflict blocks or violating pairs. Snapshots do not
+  /// store it; a restore recomputes it from the restored table.
+  ViolationSet violations;
   NoisyCells noisy;
 
   // --- CompileStage artifacts ---
@@ -110,6 +113,39 @@ struct PipelineContext {
 
   // --- RepairStage output (stats fields are filled by every stage) ---
   Report report;
+
+  /// A detector over the dataset's current dirty table and the session's
+  /// constraints, at the configured sim_threshold, on the pool.
+  ViolationDetector Detector() const {
+    ViolationDetector::Options options;
+    options.sim_threshold = config.sim_threshold;
+    options.pool = pool;
+    return ViolationDetector(&dataset->dirty(), dcs, options);
+  }
+
+  /// Detects over the current dirty table: the constraints' violation set
+  /// and noisy cells (ViolationDetector::DetectSet), then any extra
+  /// detector's cells. The detect stage, feedback pins, and stream appends
+  /// all re-detect the whole table through here — detection is linear in
+  /// it — and commit the result with InstallDetect.
+  DetectArtifacts Detect() const {
+    DetectArtifacts detected = Detector().DetectSet();
+    if (extra_detectors != nullptr) {
+      detected.noisy.Merge(extra_detectors->Detect(*dataset));
+    }
+    return detected;
+  }
+
+  /// Commits detect artifacts and their report counters.
+  void InstallDetect(DetectArtifacts detected) {
+    violations = std::move(detected.violations);
+    noisy = std::move(detected.noisy);
+    const size_t truncated = violations.TruncatedDcs().size();
+    report.stats.num_violations = violations.size();
+    report.stats.num_noisy_cells = noisy.size();
+    report.stats.detect_truncated = truncated > 0;
+    report.stats.num_truncated_dcs = truncated;
+  }
 
   /// Materializes the factor graph if a lazy restore deferred it; cheap
   /// no-op otherwise. Every consumer of `graph` (the learn/infer/repair

@@ -193,33 +193,13 @@ void Session::UpdateConfig(const HoloCleanConfig& config) {
 void Session::PinCell(const CellRef& cell, ValueId value) {
   ctx_.dataset->dirty().Set(cell, value);
   if (StageIsValid(StageId::kDetect)) {
-    // Exact incremental re-detection: the cached violations involving the
-    // pinned cell's tuple are replaced by a block-limited delta scan of
-    // that tuple alone, so the committed detect artifacts match a full
-    // re-detection of the updated table bit for bit. Cells that were noisy
-    // only because of the old value drop out, and conflicts the verified
-    // value newly exposes enter — the two gaps the previous approximation
-    // left open. Cost is the tuple's blocks, not the table.
-    ViolationDetector::Options options;
-    options.sim_threshold = ctx_.config.sim_threshold;
-    options.pool = ctx_.pool;
-    ViolationDetector detector(&ctx_.dataset->dirty(), ctx_.dcs, options);
-    DeltaDetectResult delta = detector.DetectForTuple(cell.tid);
-    DetectResult merged = ViolationDetector::MergeTupleDelta(
-        std::move(ctx_.violations), cell.tid, ctx_.dcs->size(),
-        std::move(delta));
-    ctx_.violations = std::move(merged.violations);
-    ctx_.noisy = ViolationDetector::NoisyFromViolations(ctx_.violations);
-    if (ctx_.extra_detectors != nullptr) {
-      ctx_.noisy.Merge(ctx_.extra_detectors->Detect(*ctx_.dataset));
-    }
-    // The pin is ground truth: the verified cell itself never becomes a
-    // query variable again, even when its tuple still violates.
-    ctx_.noisy.Remove(cell);
-    ctx_.report.stats.num_violations = ctx_.violations.size();
-    ctx_.report.stats.num_noisy_cells = ctx_.noisy.size();
-    ctx_.report.stats.detect_truncated = !merged.truncated_dcs.empty();
-    ctx_.report.stats.num_truncated_dcs = merged.truncated_dcs.size();
+    // Re-detect the updated table, so cells that were noisy only because
+    // of the old value drop out and conflicts the verified value exposes
+    // enter. The pin is ground truth: the verified cell itself never
+    // becomes a query variable again, even when its tuple still violates.
+    DetectArtifacts detected = ctx_.Detect();
+    detected.noisy.Remove(cell);
+    ctx_.InstallDetect(std::move(detected));
     Invalidate(StageId::kCompile);
   } else {
     Invalidate(StageId::kDetect);

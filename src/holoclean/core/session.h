@@ -28,14 +28,11 @@ namespace holoclean {
 ///    thread-count invariant.
 ///  - PinCell(cell, value): writes a user-verified value into the dirty
 ///    table (the feedback loop of paper §2.2). When detection is cached,
-///    the pinned tuple is re-detected exactly with a block-limited delta
-///    scan (ViolationDetector::DetectForTuple) and merged over the cached
-///    violations, so the detect artifacts match a full re-detection bit
-///    for bit — cells flagged noisy only by the old value drop out, and
-///    conflicts the verified value newly exposes are detected — at the
-///    cost of the tuple's blocks rather than the table. The verified cell
-///    itself is then removed from the noisy set (it is ground truth) and
-///    compile and later stages re-run.
+///    the whole table is re-detected (PipelineContext::Detect; linear in
+///    the table), so cells flagged noisy only by the old value drop out
+///    and conflicts the verified value newly exposes are detected. The
+///    verified cell itself is then removed from the noisy set (it is
+///    ground truth) and compile and later stages re-run.
 ///
 /// The session holds its CleaningInputs bundle: owned inputs stay alive
 /// for the session's lifetime, borrowed ones must outlive it. It mutates

@@ -94,22 +94,8 @@ class DetectStage : public PipelineStage {
   StageId id() const override { return StageId::kDetect; }
 
   Status Run(PipelineContext* ctx) override {
-    Table& table = ctx->dataset->dirty();
     ctx->attrs = ctx->dataset->RepairableAttrs();
-    ViolationDetector::Options options;
-    options.sim_threshold = ctx->config.sim_threshold;
-    options.pool = ctx->pool;
-    ViolationDetector detector(&table, ctx->dcs, options);
-    DetectResult result = detector.DetectAll();
-    ctx->violations = std::move(result.violations);
-    ctx->noisy = ViolationDetector::NoisyFromViolations(ctx->violations);
-    if (ctx->extra_detectors != nullptr) {
-      ctx->noisy.Merge(ctx->extra_detectors->Detect(*ctx->dataset));
-    }
-    ctx->report.stats.num_violations = ctx->violations.size();
-    ctx->report.stats.num_noisy_cells = ctx->noisy.size();
-    ctx->report.stats.detect_truncated = !result.truncated_dcs.empty();
-    ctx->report.stats.num_truncated_dcs = result.truncated_dcs.size();
+    ctx->InstallDetect(ctx->Detect());
     return Status::OK();
   }
 };

@@ -8,7 +8,7 @@ NoisyCells DcViolationDetector::Detect(const Dataset& dataset) const {
   ViolationDetector::Options options;
   options.sim_threshold = sim_threshold_;
   ViolationDetector detector(&dataset.dirty(), &dcs_, options);
-  return ViolationDetector::NoisyFromViolations(detector.Detect());
+  return detector.DetectSet().noisy;
 }
 
 }  // namespace holoclean

@@ -1,7 +1,7 @@
 #include "holoclean/detect/violation_detector.h"
 
+#include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "holoclean/util/hash.h"
 #include "holoclean/util/logging.h"
@@ -41,9 +41,9 @@ struct ColumnarPlan {
 
 /// The participating cells of a violation of `dc` are a fixed function of
 /// the tuple pair: each predicate operand contributes (role, attr), deduped
-/// in first-seen order. Resolving the template once per DC replaces the
-/// per-violation hash set MakeViolation needs. For single-tuple violations
-/// both roles read the same tuple, so the dedup collapses to the attribute.
+/// in first-seen order, so pairs are stored without their cells. For
+/// single-tuple violations both roles read the same tuple, so the dedup
+/// collapses to the attribute.
 std::vector<std::pair<uint8_t, AttrId>> CellTemplate(
     const DenialConstraint& dc, bool two_tuple) {
   std::vector<std::pair<uint8_t, AttrId>> tmpl;
@@ -165,7 +165,87 @@ ColumnarPlan BuildPlan(const Table& table, const DenialConstraint& dc,
   return plan;
 }
 
+/// The blocking-key hash of tuple t over the given id columns; 0 when any
+/// of them is NULL (NULL never matches).
+uint64_t BlockingKey(const std::vector<const std::vector<ValueId>*>& cols,
+                     size_t t) {
+  uint64_t h = 0x9E3779B97F4A7C15ULL;
+  for (const std::vector<ValueId>* vals : cols) {
+    ValueId v = (*vals)[t];
+    if (v == Dictionary::kNull) return 0;
+    h = HashCombine(h, static_cast<uint64_t>(static_cast<uint32_t>(v)));
+  }
+  return h;
+}
+
+/// Adds an FD-shaped constraint's noisy cells in the order its pair scan
+/// first meets them, without enumerating a pair. The scan visits outer
+/// tuples ascending and reports each pair at its smaller tuple. Within a
+/// block G, with v0 the ≠ value of G[0] and b1 the first member holding
+/// another value (the members between them hold v0), it first meets:
+///  - at G[0]: the template over (G[0], b1), then every later member whose
+///    value is not v0;
+///  - at each member between G[0] and b1: that member (paired with b1);
+///  - at b1: every member after it (the ones not met yet all hold v0).
+/// Later members add nothing new. Linear in the table.
+void AddBlockCells(const std::vector<std::vector<TupleId>>& blocks,
+                   const std::vector<std::pair<uint8_t, AttrId>>& tmpl,
+                   const std::vector<ValueId>& values, NoisyCells* noisy) {
+  // Every predicate names one attribute for both roles, so a tuple's cells
+  // are the same attributes in the same order whichever role it plays.
+  std::vector<AttrId> attrs;
+  for (const auto& [role, attr] : tmpl) {
+    if (role == 1) attrs.push_back(attr);
+  }
+  auto add_tuple = [&](TupleId t) {
+    for (AttrId a : attrs) noisy->Add({t, a});
+  };
+  auto value = [&](TupleId t) { return values[static_cast<size_t>(t)]; };
+  std::vector<size_t> first_other(blocks.size(), 1);
+  std::vector<int32_t> block_of(values.size(), -1);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const std::vector<TupleId>& g = blocks[b];
+    while (value(g[first_other[b]]) == value(g[0])) ++first_other[b];
+    for (TupleId t : g) {
+      block_of[static_cast<size_t>(t)] = static_cast<int32_t>(b);
+    }
+  }
+  for (size_t t = 0; t < values.size(); ++t) {
+    const int32_t b = block_of[t];
+    if (b < 0) continue;
+    const std::vector<TupleId>& g = blocks[static_cast<size_t>(b)];
+    const size_t f = first_other[static_cast<size_t>(b)];
+    const TupleId tid = static_cast<TupleId>(t);
+    if (tid == g[0]) {
+      for (const auto& [role, attr] : tmpl) {
+        noisy->Add({role == 0 ? g[0] : g[f], attr});
+      }
+      for (size_t j = f + 1; j < g.size(); ++j) {
+        if (value(g[j]) != value(g[0])) add_tuple(g[j]);
+      }
+    } else if (tid < g[f]) {
+      add_tuple(tid);
+    } else if (tid == g[f]) {
+      for (size_t j = f + 1; j < g.size(); ++j) add_tuple(g[j]);
+    }
+  }
+}
+
 }  // namespace
+
+size_t ViolationSet::size() const {
+  size_t total = 0;
+  for (const DcViolations& dc : per_dc) total += dc.count;
+  return total;
+}
+
+std::vector<int> ViolationSet::TruncatedDcs() const {
+  std::vector<int> out;
+  for (size_t i = 0; i < per_dc.size(); ++i) {
+    if (per_dc[i].truncated) out.push_back(static_cast<int>(i));
+  }
+  return out;
+}
 
 ViolationDetector::ViolationDetector(const Table* table,
                                      const std::vector<DenialConstraint>* dcs,
@@ -175,52 +255,35 @@ ViolationDetector::ViolationDetector(const Table* table,
       options_(options),
       evaluator_(table, options.sim_threshold) {}
 
-Violation ViolationDetector::MakeViolation(int dc_index, TupleId t1,
-                                           TupleId t2) const {
-  const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
-  Violation v;
-  v.dc_index = dc_index;
-  v.t1 = t1;
-  v.t2 = t2;
-  std::unordered_set<CellRef, CellRefHash> seen;
-  auto add = [&](TupleId t, AttrId a) {
-    CellRef c{t, a};
-    if (seen.insert(c).second) v.cells.push_back(c);
-  };
-  for (const Predicate& p : dc.preds) {
-    add(p.lhs_tuple == 0 ? t1 : t2, p.lhs_attr);
-    if (!p.rhs_is_constant) add(p.rhs_tuple == 0 ? t1 : t2, p.rhs_attr);
+template <typename Fn>
+void ViolationDetector::ForEachDc(Fn fn) const {
+  if (options_.pool != nullptr && dcs_->size() > 1) {
+    options_.pool->ParallelFor(dcs_->size(), fn);
+  } else {
+    for (size_t i = 0; i < dcs_->size(); ++i) fn(i);
   }
-  return v;
 }
 
-std::vector<Violation> ViolationDetector::DetectSingleTuple(
-    int dc_index) const {
+std::vector<std::pair<TupleId, TupleId>> ViolationDetector::ScanPairs(
+    int dc_index, bool* truncated) const {
   const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
+  if (dc.IsTwoTuple()) return ScanTwoTuple(dc_index, truncated);
   // A single-tuple DC references only role 0, so its violations are exactly
   // the tuples passing the role-0 mask.
   ColumnarPlan plan = BuildPlan(*table_, dc, evaluator_);
-  const auto tmpl = CellTemplate(dc, /*two_tuple=*/false);
-  std::vector<Violation> out;
+  std::vector<std::pair<TupleId, TupleId>> out;
   for (size_t t = 0; t < table_->num_rows(); ++t) {
     if (plan.ok[0][t]) {
-      TupleId tid = static_cast<TupleId>(t);
-      Violation v;
-      v.dc_index = dc_index;
-      v.t1 = tid;
-      v.t2 = tid;
-      v.cells.reserve(tmpl.size());
-      for (const auto& [role, attr] : tmpl) v.cells.push_back({tid, attr});
-      out.push_back(std::move(v));
+      out.emplace_back(static_cast<TupleId>(t), static_cast<TupleId>(t));
     }
   }
   return out;
 }
 
-std::vector<Violation> ViolationDetector::DetectTwoTuple(
+std::vector<std::pair<TupleId, TupleId>> ViolationDetector::ScanTwoTuple(
     int dc_index, bool* truncated) const {
   const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
-  std::vector<Violation> out;
+  std::vector<std::pair<TupleId, TupleId>> out;
   const size_t n = table_->num_rows();
   ColumnarPlan plan = BuildPlan(*table_, dc, evaluator_);
 
@@ -251,22 +314,11 @@ std::vector<Violation> ViolationDetector::DetectTwoTuple(
     return true;
   };
 
-  const auto tmpl = CellTemplate(dc, /*two_tuple=*/true);
   PairSet reported;
   auto report = [&](TupleId a, TupleId b) {
     uint64_t lo = static_cast<uint32_t>(std::min(a, b));
     uint64_t hi = static_cast<uint32_t>(std::max(a, b));
-    if (reported.Insert((hi << 32) | lo)) {
-      Violation v;
-      v.dc_index = dc_index;
-      v.t1 = a;
-      v.t2 = b;
-      v.cells.reserve(tmpl.size());
-      for (const auto& [role, attr] : tmpl) {
-        v.cells.push_back({role == 0 ? a : b, attr});
-      }
-      out.push_back(std::move(v));
-    }
+    if (reported.Insert((hi << 32) | lo)) out.emplace_back(a, b);
   };
 
   if (plan.cross_eq.empty()) {
@@ -310,14 +362,8 @@ std::vector<Violation> ViolationDetector::DetectTwoTuple(
     key_cols[0].push_back(&table_->Column(a0));
     key_cols[1].push_back(&table_->Column(a1));
   }
-  auto key_for = [&](size_t t, int role) -> uint64_t {
-    uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (const std::vector<ValueId>* vals : key_cols[role]) {
-      ValueId v = (*vals)[t];
-      if (v == Dictionary::kNull) return 0;  // NULL never matches.
-      h = HashCombine(h, static_cast<uint64_t>(static_cast<uint32_t>(v)));
-    }
-    return h;
+  auto key_for = [&](size_t t, int role) {
+    return BlockingKey(key_cols[role], t);
   };
 
   std::unordered_map<uint64_t, std::vector<TupleId>> t2_buckets;
@@ -342,31 +388,129 @@ std::vector<Violation> ViolationDetector::DetectTwoTuple(
   return out;
 }
 
-std::vector<Violation> ViolationDetector::DetectOneImpl(int dc_index,
-                                                        bool* truncated) const {
+DcViolations ViolationDetector::DetectBlocks(int dc_index,
+                                             AttrId target) const {
   const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
-  return dc.IsTwoTuple() ? DetectTwoTuple(dc_index, truncated)
-                         : DetectSingleTuple(dc_index);
+  const size_t n = table_->num_rows();
+  std::vector<const std::vector<ValueId>*> key_cols;
+  for (const Predicate* p : dc.CrossEqualities()) {
+    key_cols.push_back(&table_->Column(p->lhs_attr));
+  }
+  const ColumnStore::Column& col =
+      table_->store().column(static_cast<size_t>(target));
+
+  // Group the tuples with a non-null ≠ value by key, in first-member
+  // order. Keys hash like the pair scan's blocking (a key hashing to 0
+  // never blocks there, so not here either); members are then compared on
+  // the key ids, so colliding keys get separate blocks.
+  auto same_key = [&](size_t x, size_t y) {
+    for (const std::vector<ValueId>* c : key_cols) {
+      if ((*c)[x] != (*c)[y]) return false;
+    }
+    return true;
+  };
+  std::unordered_map<uint64_t, int32_t> last_block;  // Per hash.
+  std::vector<int32_t> prev_same_hash;                // Per block.
+  std::vector<std::vector<TupleId>> blocks;
+  for (size_t t = 0; t < n; ++t) {
+    if (col.codes[t] == 0) continue;  // A NULL ≠ operand never violates.
+    const uint64_t key = BlockingKey(key_cols, t);
+    if (key == 0) continue;
+    int32_t& head = last_block.try_emplace(key, -1).first->second;
+    int32_t b = head;
+    while (b >= 0 && !same_key(static_cast<size_t>(
+                                   blocks[static_cast<size_t>(b)].front()),
+                               t)) {
+      b = prev_same_hash[static_cast<size_t>(b)];
+    }
+    if (b < 0) {
+      b = static_cast<int32_t>(blocks.size());
+      blocks.emplace_back();
+      prev_same_hash.push_back(head);
+      head = b;
+    }
+    blocks[static_cast<size_t>(b)].push_back(static_cast<TupleId>(t));
+  }
+
+  // A block conflicts when it holds two distinct values; its member pairs
+  // with different values are its violations: (k² − Σ c²) / 2.
+  DcViolations out;
+  std::vector<uint64_t> counts(col.num_codes(), 0);
+  auto count_of = [&](TupleId t) -> uint64_t& {
+    return counts[static_cast<size_t>(col.codes[static_cast<size_t>(t)])];
+  };
+  for (std::vector<TupleId>& block : blocks) {
+    const uint64_t k = block.size();
+    uint64_t sum_sq = 0;
+    for (TupleId t : block) ++count_of(t);
+    for (TupleId t : block) {
+      sum_sq += count_of(t) * count_of(t);
+      count_of(t) = 0;
+    }
+    if (sum_sq == k * k) continue;
+    out.count += (k * k - sum_sq) / 2;
+    out.blocks.push_back(std::move(block));
+  }
+  return out;
 }
 
-std::vector<Violation> ViolationDetector::DetectOne(int dc_index) const {
-  bool truncated = false;
-  return DetectOneImpl(dc_index, &truncated);
+DetectArtifacts ViolationDetector::DetectSet() const {
+  DetectArtifacts out;
+  std::vector<DcViolations>& per_dc = out.violations.per_dc;
+  per_dc.resize(dcs_->size());
+  std::vector<AttrId> targets(dcs_->size(), -1);
+  for (size_t i = 0; i < dcs_->size(); ++i) {
+    const DenialConstraint& dc = (*dcs_)[i];
+    // Without a cross equality the pair scan is the budgeted full scan,
+    // whose truncation the blocks could not reproduce.
+    if (!dc.CrossEqualities().empty()) targets[i] = dc.FdTargetAttr();
+  }
+  ForEachDc([&](size_t i) {
+    if (targets[i] >= 0) {
+      per_dc[i] = DetectBlocks(static_cast<int>(i), targets[i]);
+    } else {
+      per_dc[i].pairs = ScanPairs(static_cast<int>(i), &per_dc[i].truncated);
+      per_dc[i].count = per_dc[i].pairs.size();
+    }
+  });
+  // The noisy set in DetectAll's first-seen order: constraint by
+  // constraint, sequentially.
+  for (size_t i = 0; i < dcs_->size(); ++i) {
+    const DenialConstraint& dc = (*dcs_)[i];
+    const auto tmpl = CellTemplate(dc, dc.IsTwoTuple());
+    for (const auto& [a, b] : per_dc[i].pairs) {
+      for (const auto& [role, attr] : tmpl) {
+        out.noisy.Add({role == 0 ? a : b, attr});
+      }
+    }
+    if (targets[i] >= 0) {
+      AddBlockCells(per_dc[i].blocks, tmpl, table_->Column(targets[i]),
+                    &out.noisy);
+    }
+  }
+  return out;
 }
 
 DetectResult ViolationDetector::DetectAll() const {
   std::vector<std::vector<Violation>> per_dc(dcs_->size());
   std::vector<uint8_t> truncated(dcs_->size(), 0);
-  auto run = [&](size_t i) {
+  ForEachDc([&](size_t i) {
+    const DenialConstraint& dc = (*dcs_)[i];
+    const auto tmpl = CellTemplate(dc, dc.IsTwoTuple());
     bool t = false;
-    per_dc[i] = DetectOneImpl(static_cast<int>(i), &t);
+    for (const auto& [a, b] : ScanPairs(static_cast<int>(i), &t)) {
+      Violation v;
+      v.dc_index = static_cast<int>(i);
+      v.t1 = a;
+      v.t2 = b;
+      v.cells.reserve(tmpl.size());
+      for (const auto& [role, attr] : tmpl) {
+        v.cells.push_back({role == 0 ? a : b, attr});
+      }
+      per_dc[i].push_back(std::move(v));
+    }
     truncated[i] = t ? 1 : 0;
-  };
-  if (options_.pool != nullptr && dcs_->size() > 1) {
-    options_.pool->ParallelFor(dcs_->size(), run);
-  } else {
-    for (size_t i = 0; i < dcs_->size(); ++i) run(i);
-  }
+  });
   DetectResult result;
   size_t total = 0;
   for (const auto& part : per_dc) total += part.size();
@@ -384,278 +528,6 @@ DetectResult ViolationDetector::DetectAll() const {
 
 std::vector<Violation> ViolationDetector::Detect() const {
   return DetectAll().violations;
-}
-
-// --- Block-limited delta detection ------------------------------------------
-//
-// A full blocked scan reports pairs in (outer tuple ascending, bucket
-// position ascending) order, buckets are filled by ascending tuple id, and
-// a pair's orientation is fixed by its first VIOLATING check — so every
-// per-DC violation list is sorted by (t1, t2), and the checks involving a
-// given tuple set form a contiguous-by-sort-key subsequence. The delta
-// paths below reproduce exactly that subsequence (same check order, same
-// dedup semantics), which makes cached + delta == full scan, including
-// order. Delta evaluation calls the evaluator per pair; its verdicts are
-// pinned bit-identical to the columnar plan by the differential tests, and
-// bucket masking in the full scan only skips checks that could never
-// violate, so the violating-check sequence is the same.
-
-std::vector<Violation> ViolationDetector::DeltaTwoTupleAppended(
-    int dc_index, size_t old_rows) const {
-  const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
-  auto equalities = dc.CrossEqualities();
-  const size_t n = table_->num_rows();
-
-  auto key_for = [&](TupleId t, int role) -> uint64_t {
-    uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (const Predicate* p : equalities) {
-      AttrId attr;
-      if (role == 0) {
-        attr = p->lhs_tuple == 0 ? p->lhs_attr : p->rhs_attr;
-      } else {
-        attr = p->lhs_tuple == 1 ? p->lhs_attr : p->rhs_attr;
-      }
-      ValueId v = table_->Get(t, attr);
-      if (v == Dictionary::kNull) return 0;  // NULL never matches.
-      h = HashCombine(h, static_cast<uint64_t>(static_cast<uint32_t>(v)));
-    }
-    return h;
-  };
-
-  std::vector<Violation> out;
-  PairSet reported;
-  auto check = [&](TupleId a, TupleId b) {
-    if (a == b) return;
-    if (!evaluator_.Violates(dc, a, b)) return;
-    uint64_t lo = static_cast<uint32_t>(std::min(a, b));
-    uint64_t hi = static_cast<uint32_t>(std::max(a, b));
-    if (reported.Insert((hi << 32) | lo)) {
-      out.push_back(MakeViolation(dc_index, a, b));
-    }
-  };
-
-  // Phase 1: old outer tuples whose role-1 bucket gained new partners. In
-  // the full scan these checks happen at outer a — after a's old partners
-  // (cached) and before any new outer — so evaluating them in (a, b) order
-  // slots them exactly where the full scan discovers them.
-  std::unordered_map<uint64_t, std::vector<TupleId>> old_role0;
-  old_role0.reserve(old_rows);
-  for (size_t t = 0; t < old_rows; ++t) {
-    uint64_t key = key_for(static_cast<TupleId>(t), 0);
-    if (key != 0) old_role0[key].push_back(static_cast<TupleId>(t));
-  }
-  std::vector<std::pair<TupleId, TupleId>> pairs;
-  for (size_t b = old_rows; b < n; ++b) {
-    uint64_t key = key_for(static_cast<TupleId>(b), 1);
-    if (key == 0) continue;
-    auto it = old_role0.find(key);
-    if (it == old_role0.end()) continue;
-    for (TupleId a : it->second) {
-      pairs.emplace_back(a, static_cast<TupleId>(b));
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  for (const auto& [a, b] : pairs) check(a, b);
-
-  // Phase 2: new outer tuples against the full role-1 buckets, ascending —
-  // the tail of the full scan's outer loop.
-  std::unordered_map<uint64_t, std::vector<TupleId>> t2_buckets;
-  t2_buckets.reserve(n);
-  for (size_t t = 0; t < n; ++t) {
-    uint64_t key = key_for(static_cast<TupleId>(t), 1);
-    if (key != 0) t2_buckets[key].push_back(static_cast<TupleId>(t));
-  }
-  for (size_t a = old_rows; a < n; ++a) {
-    uint64_t key = key_for(static_cast<TupleId>(a), 0);
-    if (key == 0) continue;
-    auto it = t2_buckets.find(key);
-    if (it == t2_buckets.end()) continue;
-    for (TupleId b : it->second) check(static_cast<TupleId>(a), b);
-  }
-  return out;
-}
-
-std::vector<Violation> ViolationDetector::DeltaTwoTupleChanged(
-    int dc_index, TupleId changed) const {
-  const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
-  auto equalities = dc.CrossEqualities();
-  const size_t n = table_->num_rows();
-
-  auto key_for = [&](TupleId t, int role) -> uint64_t {
-    uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (const Predicate* p : equalities) {
-      AttrId attr;
-      if (role == 0) {
-        attr = p->lhs_tuple == 0 ? p->lhs_attr : p->rhs_attr;
-      } else {
-        attr = p->lhs_tuple == 1 ? p->lhs_attr : p->rhs_attr;
-      }
-      ValueId v = table_->Get(t, attr);
-      if (v == Dictionary::kNull) return 0;
-      h = HashCombine(h, static_cast<uint64_t>(static_cast<uint32_t>(v)));
-    }
-    return h;
-  };
-
-  std::vector<Violation> out;
-  PairSet reported;
-  auto check = [&](TupleId a, TupleId b) {
-    if (a == b) return;
-    if (!evaluator_.Violates(dc, a, b)) return;
-    uint64_t lo = static_cast<uint32_t>(std::min(a, b));
-    uint64_t hi = static_cast<uint32_t>(std::max(a, b));
-    if (reported.Insert((hi << 32) | lo)) {
-      out.push_back(MakeViolation(dc_index, a, b));
-    }
-  };
-
-  // The full scan checks (a, changed) at every outer a whose role-0 key
-  // matches the changed tuple's role-1 key, and (changed, b) at outer
-  // `changed` against its role-0 key's bucket. Reproduce those checks in
-  // outer order: a < changed first, then the changed tuple's own outer
-  // block, then a > changed.
-  const uint64_t k1_changed = key_for(changed, 1);
-  const uint64_t k0_changed = key_for(changed, 0);
-  std::vector<TupleId> outers;    // a with key0(a) == key1(changed)
-  std::vector<TupleId> partners;  // b with key1(b) == key0(changed)
-  for (size_t t = 0; t < n; ++t) {
-    TupleId tid = static_cast<TupleId>(t);
-    if (tid == changed) continue;
-    if (k1_changed != 0 && key_for(tid, 0) == k1_changed) {
-      outers.push_back(tid);
-    }
-    if (k0_changed != 0 && key_for(tid, 1) == k0_changed) {
-      partners.push_back(tid);
-    }
-  }
-  size_t k = 0;
-  while (k < outers.size() && outers[k] < changed) {
-    check(outers[k], changed);
-    ++k;
-  }
-  for (TupleId b : partners) check(changed, b);
-  for (; k < outers.size(); ++k) check(outers[k], changed);
-  return out;
-}
-
-std::vector<Violation> ViolationDetector::DeltaOne(int dc_index,
-                                                   size_t old_rows,
-                                                   TupleId changed,
-                                                   bool* recomputed,
-                                                   bool* truncated) const {
-  const DenialConstraint& dc = (*dcs_)[static_cast<size_t>(dc_index)];
-  *recomputed = false;
-  if (!dc.IsTwoTuple()) {
-    std::vector<Violation> out;
-    if (changed >= 0) {
-      if (evaluator_.ViolatesSingle(dc, changed)) {
-        out.push_back(MakeViolation(dc_index, changed, changed));
-      }
-    } else {
-      for (size_t t = old_rows; t < table_->num_rows(); ++t) {
-        TupleId tid = static_cast<TupleId>(t);
-        if (evaluator_.ViolatesSingle(dc, tid)) {
-          out.push_back(MakeViolation(dc_index, tid, tid));
-        }
-      }
-    }
-    return out;
-  }
-  if (dc.CrossEqualities().empty()) {
-    *recomputed = true;
-    return DetectOneImpl(dc_index, truncated);
-  }
-  return changed >= 0 ? DeltaTwoTupleChanged(dc_index, changed)
-                      : DeltaTwoTupleAppended(dc_index, old_rows);
-}
-
-DeltaDetectResult ViolationDetector::DetectDeltaImpl(size_t old_rows,
-                                                     TupleId changed) const {
-  DeltaDetectResult result;
-  result.per_dc.resize(dcs_->size());
-  result.recomputed.assign(dcs_->size(), 0);
-  std::vector<uint8_t> truncated(dcs_->size(), 0);
-  auto run = [&](size_t i) {
-    bool rec = false;
-    bool tr = false;
-    result.per_dc[i] =
-        DeltaOne(static_cast<int>(i), old_rows, changed, &rec, &tr);
-    result.recomputed[i] = rec ? 1 : 0;
-    truncated[i] = tr ? 1 : 0;
-  };
-  if (options_.pool != nullptr && dcs_->size() > 1) {
-    options_.pool->ParallelFor(dcs_->size(), run);
-  } else {
-    for (size_t i = 0; i < dcs_->size(); ++i) run(i);
-  }
-  for (size_t i = 0; i < truncated.size(); ++i) {
-    if (truncated[i]) result.truncated_dcs.push_back(static_cast<int>(i));
-  }
-  return result;
-}
-
-DeltaDetectResult ViolationDetector::DetectAppended(size_t old_rows) const {
-  return DetectDeltaImpl(old_rows, -1);
-}
-
-DeltaDetectResult ViolationDetector::DetectForTuple(TupleId changed) const {
-  return DetectDeltaImpl(0, changed);
-}
-
-DetectResult ViolationDetector::MergeDeltaImpl(std::vector<Violation> cached,
-                                               TupleId changed,
-                                               size_t num_dcs,
-                                               DeltaDetectResult delta) {
-  std::vector<std::vector<Violation>> by_dc(num_dcs);
-  for (Violation& v : cached) {
-    by_dc[static_cast<size_t>(v.dc_index)].push_back(std::move(v));
-  }
-  DetectResult out;
-  size_t total = 0;
-  for (const auto& part : by_dc) total += part.size();
-  for (const auto& part : delta.per_dc) total += part.size();
-  out.violations.reserve(total);
-  for (size_t s = 0; s < num_dcs; ++s) {
-    std::vector<Violation>& old_list = by_dc[s];
-    std::vector<Violation>& add = delta.per_dc[s];
-    if (delta.recomputed[s]) {
-      for (Violation& v : add) out.violations.push_back(std::move(v));
-      continue;
-    }
-    // Both lists are (t1, t2)-sorted with disjoint keys (delta pairs all
-    // involve delta tuples; the kept cached pairs involve none).
-    size_t i = 0;
-    size_t j = 0;
-    auto before = [](const Violation& x, const Violation& y) {
-      return x.t1 != y.t1 ? x.t1 < y.t1 : x.t2 < y.t2;
-    };
-    while (i < old_list.size() || j < add.size()) {
-      if (i < old_list.size() && changed >= 0 &&
-          (old_list[i].t1 == changed || old_list[i].t2 == changed)) {
-        ++i;  // Stale: superseded by the delta re-detection.
-        continue;
-      }
-      bool take_old = j >= add.size() ||
-                      (i < old_list.size() && before(old_list[i], add[j]));
-      out.violations.push_back(std::move(take_old ? old_list[i++] : add[j++]));
-    }
-  }
-  out.truncated_dcs = std::move(delta.truncated_dcs);
-  return out;
-}
-
-DetectResult ViolationDetector::MergeAppendDelta(std::vector<Violation> cached,
-                                                 size_t num_dcs,
-                                                 DeltaDetectResult delta) {
-  return MergeDeltaImpl(std::move(cached), -1, num_dcs, std::move(delta));
-}
-
-DetectResult ViolationDetector::MergeTupleDelta(std::vector<Violation> cached,
-                                                TupleId changed,
-                                                size_t num_dcs,
-                                                DeltaDetectResult delta) {
-  return MergeDeltaImpl(std::move(cached), changed, num_dcs,
-                        std::move(delta));
 }
 
 NoisyCells ViolationDetector::NoisyFromViolations(

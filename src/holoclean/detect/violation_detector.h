@@ -1,6 +1,7 @@
 #ifndef HOLOCLEAN_DETECT_VIOLATION_DETECTOR_H_
 #define HOLOCLEAN_DETECT_VIOLATION_DETECTOR_H_
 
+#include <utility>
 #include <vector>
 
 #include "holoclean/constraints/evaluator.h"
@@ -27,23 +28,56 @@ struct DetectResult {
   std::vector<int> truncated_dcs;
 };
 
-/// Output of block-limited delta re-detection (DetectAppended /
-/// DetectForTuple): only the violations that involve the delta tuples,
-/// per constraint, in the exact order a full DetectAll discovers them —
-/// so merging them into a cached full result reproduces DetectAll over the
-/// current table bit for bit.
-struct DeltaDetectResult {
-  /// per_dc[s]: violations of DC s involving at least one delta tuple,
-  /// sorted by (t1, t2). For recomputed DCs, the constraint's FULL
-  /// violation list instead.
-  std::vector<std::vector<Violation>> per_dc;
-  /// DCs with no cross-tuple equality predicate have no blocking structure
-  /// to limit the delta to (the budgeted fallback scan is a prefix property
-  /// of the whole pair sequence), so they are recomputed wholesale;
-  /// per_dc[s] then replaces — not merges into — the cached list.
-  std::vector<uint8_t> recomputed;
-  /// Truncation among the recomputed DCs (blocked DCs never truncate).
-  std::vector<int> truncated_dcs;
+/// One constraint's detected violations, in the form the pipeline keeps.
+/// FD-shaped constraints (DenialConstraint::FdTargetAttr() >= 0 with at
+/// least one cross equality) fill `blocks`; every other constraint fills
+/// `pairs`.
+struct DcViolations {
+  /// Conflict blocks: per blocking key, the tuples carrying a non-null
+  /// value of the ≠ attribute, ascending — kept only when they hold at
+  /// least two distinct values. Every member pair with different values is
+  /// a violation, so each block is one of the constraint's Algorithm-3
+  /// tuple groups. Ascending by first member.
+  std::vector<std::vector<TupleId>> blocks;
+  /// Violating tuple pairs in discovery order (t2 == t1 for single-tuple
+  /// constraints); the cells are the constraint's cell template over them.
+  std::vector<std::pair<TupleId, TupleId>> pairs;
+  /// Number of violations: pairs.size(), or Σ (k² − Σ c²) / 2 over the
+  /// blocks (k members, c per distinct value).
+  size_t count = 0;
+  /// The pair scan exhausted `max_fallback_pairs` (its pairs under-cover).
+  bool truncated = false;
+
+  bool operator==(const DcViolations& other) const {
+    return blocks == other.blocks && pairs == other.pairs &&
+           count == other.count && truncated == other.truncated;
+  }
+};
+
+/// The pipeline's violation set: per constraint, conflict blocks or pairs.
+/// Unlike a materialized pair list it never grows with the square of a
+/// block's size.
+struct ViolationSet {
+  std::vector<DcViolations> per_dc;
+
+  /// Total violations over all constraints.
+  size_t size() const;
+  /// Indices of the constraints whose pair scan was truncated, ascending.
+  std::vector<int> TruncatedDcs() const;
+
+  bool operator==(const ViolationSet& other) const {
+    return per_dc == other.per_dc;
+  }
+};
+
+/// Everything the detect stage derives from the constraints (truncation
+/// included: violations.TruncatedDcs()).
+struct DetectArtifacts {
+  ViolationSet violations;
+  /// Cells participating in any violation, in the order a scan of the
+  /// materialized pair list (DetectAll) first meets them: by constraint,
+  /// then by discovery order. Query-variable ids follow this order.
+  NoisyCells noisy;
 };
 
 /// Finds all denial-constraint violations in a table.
@@ -53,6 +87,13 @@ struct DeltaDetectResult {
 /// within-block comparisons (the same trick DeepDive's grounding relies on;
 /// see paper Section 5.1.2). Constraints without an equality predicate fall
 /// back to the full pair scan, capped at `max_fallback_pairs`.
+///
+/// The pipeline calls DetectSet(): FD-shaped constraints — every DC
+/// FdToDenialConstraints emits — never enumerate a pair there. Their
+/// blocks yield the noisy cells, the violation count, and the tuple groups
+/// in time linear in the table. DetectAll() materializes every violation
+/// with its cells, for the callers that need the pairs themselves (the
+/// holistic baseline, the conflict hypergraph, and the tests).
 ///
 /// Predicates are evaluated columnar: single-role predicates become
 /// per-tuple verdict masks computed by scanning the ColumnStore's code
@@ -79,45 +120,17 @@ class ViolationDetector {
                     const std::vector<DenialConstraint>* dcs)
       : ViolationDetector(table, dcs, Options()) {}
 
+  /// The pipeline's detection: the violation set and the noisy cells.
+  /// Noisy cells, counts, and truncation equal what DetectAll's pair list
+  /// implies, cell order included.
+  DetectArtifacts DetectSet() const;
+
   /// All violations, deduplicated on (constraint, unordered tuple pair).
   std::vector<Violation> Detect() const;
 
   /// Like Detect(), also reporting which DCs were truncated by the
   /// fallback pair budget.
   DetectResult DetectAll() const;
-
-  /// Violations of a single constraint.
-  std::vector<Violation> DetectOne(int dc_index) const;
-
-  /// Block-limited delta detection for appended tuples: all violations
-  /// involving at least one tuple with index >= old_rows, per constraint.
-  /// Appends do not change existing tuples, so a cached DetectAll over the
-  /// first old_rows rows plus this delta IS DetectAll over the current
-  /// table (see MergeAppendDelta). Cost is proportional to the key scans
-  /// plus the pairs the new tuples' blocks contribute — never the old
-  /// pairs.
-  DeltaDetectResult DetectAppended(size_t old_rows) const;
-
-  /// Block-limited delta re-detection for one changed tuple (the feedback
-  /// pin path): all violations involving `changed` under its current
-  /// values, per constraint, in full-scan discovery order. Merging with a
-  /// cached result purged of the tuple's old violations reproduces a full
-  /// re-detection (see MergeTupleDelta).
-  DeltaDetectResult DetectForTuple(TupleId changed) const;
-
-  /// Merges a cached DetectAll result (over the first old_rows rows) with
-  /// a DetectAppended delta into the full-table DetectAll output,
-  /// bit-identical including violation order.
-  static DetectResult MergeAppendDelta(std::vector<Violation> cached,
-                                       size_t num_dcs,
-                                       DeltaDetectResult delta);
-
-  /// Drops every cached violation involving `changed` and merges the
-  /// DetectForTuple delta in, reproducing a full re-detection of the
-  /// current table bit for bit.
-  static DetectResult MergeTupleDelta(std::vector<Violation> cached,
-                                      TupleId changed, size_t num_dcs,
-                                      DeltaDetectResult delta);
 
   /// Cells participating in any violation — the noisy set Dn the paper uses
   /// for all four datasets ("we seek to repair cells that participate in
@@ -127,23 +140,16 @@ class ViolationDetector {
   const DcEvaluator& evaluator() const { return evaluator_; }
 
  private:
-  std::vector<Violation> DetectOneImpl(int dc_index, bool* truncated) const;
-  /// One constraint's delta: dispatches on constraint shape; `old_rows`
-  /// delimits appended tuples, or `changed` >= 0 names the edited tuple.
-  std::vector<Violation> DeltaOne(int dc_index, size_t old_rows,
-                                  TupleId changed, bool* recomputed,
-                                  bool* truncated) const;
-  std::vector<Violation> DeltaTwoTupleAppended(int dc_index,
-                                               size_t old_rows) const;
-  std::vector<Violation> DeltaTwoTupleChanged(int dc_index,
-                                              TupleId changed) const;
-  DeltaDetectResult DetectDeltaImpl(size_t old_rows, TupleId changed) const;
-  static DetectResult MergeDeltaImpl(std::vector<Violation> cached,
-                                     TupleId changed, size_t num_dcs,
-                                     DeltaDetectResult delta);
-  std::vector<Violation> DetectTwoTuple(int dc_index, bool* truncated) const;
-  std::vector<Violation> DetectSingleTuple(int dc_index) const;
-  Violation MakeViolation(int dc_index, TupleId t1, TupleId t2) const;
+  /// One constraint's violating pairs in discovery order.
+  std::vector<std::pair<TupleId, TupleId>> ScanPairs(int dc_index,
+                                                     bool* truncated) const;
+  std::vector<std::pair<TupleId, TupleId>> ScanTwoTuple(int dc_index,
+                                                        bool* truncated) const;
+  /// One FD-shaped constraint's conflict blocks and violation count.
+  DcViolations DetectBlocks(int dc_index, AttrId target) const;
+  /// Runs `fn(i)` for every constraint index, on the pool when there is one.
+  template <typename Fn>
+  void ForEachDc(Fn fn) const;
 
   const Table* table_;
   const std::vector<DenialConstraint>* dcs_;

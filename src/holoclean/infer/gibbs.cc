@@ -106,26 +106,33 @@ void GibbsSampler::FactorScores(int var_id, size_t num_cand,
   }
 }
 
+void GibbsSampler::ScoreCandidates(int var_id, ChainScratch* scratch) {
+  const auto& unary = unary_scores_[static_cast<size_t>(var_id)];
+  auto& scores = scratch->scores;
+  scores.assign(unary.begin(), unary.end());
+  if (compiled_.FovBegin(var_id) != compiled_.FovEnd(var_id)) {
+    FactorScores(var_id, unary.size(), scratch);
+    const auto& acc = scratch->factor_acc;
+    for (size_t k = 0; k < unary.size(); ++k) {
+      scores[k] = unary[k] + acc[k];
+    }
+  }
+}
+
+std::vector<double> GibbsSampler::ConditionalScores(int var_id) {
+  ChainScratch scratch;
+  ScoreCandidates(var_id, &scratch);
+  return scratch.scores;
+}
+
 void GibbsSampler::SampleVariable(int var_id, Rng* rng,
                                   ChainScratch* scratch) {
-  const Variable& var = graph_->variable(var_id);
-  size_t num_cand = var.NumCandidates();
-  if (num_cand == 1) {
+  if (graph_->variable(var_id).NumCandidates() == 1) {
     assignment_[static_cast<size_t>(var_id)] = 0;
     return;
   }
+  ScoreCandidates(var_id, scratch);
   auto& scores = scratch->scores;
-  scores.assign(num_cand, 0.0);
-  const auto& unary = unary_scores_[static_cast<size_t>(var_id)];
-  if (compiled_.FovBegin(var_id) != compiled_.FovEnd(var_id)) {
-    FactorScores(var_id, num_cand, scratch);
-    const auto& acc = scratch->factor_acc;
-    for (size_t k = 0; k < num_cand; ++k) {
-      scores[k] = unary[k] + acc[k];
-    }
-  } else {
-    for (size_t k = 0; k < num_cand; ++k) scores[k] = unary[k];
-  }
   SoftmaxInPlace(&scores);  // `scores` now holds the probabilities.
   assignment_[static_cast<size_t>(var_id)] =
       static_cast<int>(rng->Categorical(scores));

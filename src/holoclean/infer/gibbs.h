@@ -56,6 +56,11 @@ class GibbsSampler {
   /// Current assignment (candidate index per variable) — for tests.
   const std::vector<int>& assignment() const { return assignment_; }
 
+  /// A query variable's candidate scores (unary plus DC-factor terms, before
+  /// the softmax) under the current assignment of its neighbours: what its
+  /// next draw samples from — for tests.
+  std::vector<double> ConditionalScores(int var_id);
+
  private:
   /// Per-chain scratch buffers, owned by RunComponent so concurrent
   /// component chains never share them. Reused across sweeps: after
@@ -71,6 +76,8 @@ class GibbsSampler {
   /// fallback above the table cap), accumulated per candidate in factor
   /// order.
   void FactorScores(int var_id, size_t num_cand, ChainScratch* scratch);
+  /// Unary plus factor scores of every candidate into scratch->scores.
+  void ScoreCandidates(int var_id, ChainScratch* scratch);
   void SampleVariable(int var_id, Rng* rng, ChainScratch* scratch);
   /// Runs the full chain for one connected component of query variables,
   /// accumulating marginal counts (disjoint from other components).

@@ -26,13 +26,13 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'C', 'S', 'S'};
 /// Magic (4) + format version (u32) + one u64: the payload size in v1, the
-/// section-directory offset in v2.
+/// section-directory offset in the sectioned layout (v2, v3).
 constexpr size_t kHeaderBytes = 16;
 /// Trailing FNV-1a checksum (u64): over the payload in v1, over the
-/// section directory in v2 (sections carry their own checksums there).
+/// section directory in v2/v3 (sections carry their own checksums there).
 constexpr size_t kChecksumBytes = 8;
 
-/// v2 section identifiers, in file order. Which sections a snapshot
+/// v2/v3 section identifiers, in file order. Which sections a snapshot
 /// carries is a function of its valid_through (mirroring the v1 payload's
 /// conditional trailing blocks).
 enum class SectionId : uint32_t {
@@ -789,41 +789,10 @@ Status DeserializeMarginals(BinaryReader* in, SectionCodec codec,
 
 namespace {
 
-void SerializeViolations(const std::vector<Violation>& violations,
-                         SectionCodec codec, BinaryWriter* out) {
-  if (codec == SectionCodec::kPacked) {
-    WriteVarint(out, violations.size());
-    std::vector<uint64_t> dcs(violations.size());
-    std::vector<uint64_t> t1s(violations.size());
-    std::vector<uint64_t> t2s(violations.size());
-    std::vector<uint64_t> cell_counts(violations.size());
-    std::vector<CellRef> cells_flat;
-    for (size_t i = 0; i < violations.size(); ++i) {
-      dcs[i] = static_cast<uint64_t>(violations[i].dc_index);
-      t1s[i] = static_cast<uint64_t>(violations[i].t1);
-      t2s[i] = static_cast<uint64_t>(violations[i].t2);
-      cell_counts[i] = violations[i].cells.size();
-      cells_flat.insert(cells_flat.end(), violations[i].cells.begin(),
-                        violations[i].cells.end());
-    }
-    WriteU64Stream(out, dcs);
-    WriteU64Stream(out, t1s);
-    WriteU64Stream(out, t2s);
-    WriteU64Stream(out, cell_counts);
-    WritePackedCellVec(out, cells_flat);
-    return;
-  }
-  out->WriteU64(violations.size());
-  for (const Violation& v : violations) {
-    out->WriteI32(v.dc_index);
-    out->WriteI32(v.t1);
-    out->WriteI32(v.t2);
-    WriteCellVec(out, v.cells);
-  }
-}
-
-Status DeserializeViolations(BinaryReader* in, SectionCodec codec,
-                             std::vector<Violation>* violations) {
+/// Parses the violation pair list v1 and v2 snapshots carry in their
+/// detect section. Current snapshots do not store it (restores re-detect),
+/// so the list is only validated structurally and then dropped.
+Status SkipViolations(BinaryReader* in, SectionCodec codec) {
   if (codec == SectionCodec::kPacked) {
     uint64_t n = 0;
     HOLO_RETURN_NOT_OK(ReadVarint(in, &n));
@@ -837,35 +806,21 @@ Status DeserializeViolations(BinaryReader* in, SectionCodec codec,
     HOLO_RETURN_NOT_OK(ReadU64Stream(in, &t2s));
     HOLO_RETURN_NOT_OK(ReadU64Stream(in, &cell_counts));
     HOLO_RETURN_NOT_OK(ReadPackedCellVec(in, &cells_flat));
+    uint64_t cells = 0;
+    for (uint64_t c : cell_counts) cells += c;
     if (dcs.size() != n || t1s.size() != n || t2s.size() != n ||
-        cell_counts.size() != n) {
-      return Status::ParseError("snapshot violation streams disagree");
-    }
-    violations->resize(n);
-    size_t k = 0;
-    for (size_t i = 0; i < n; ++i) {
-      Violation& v = (*violations)[i];
-      if (!CastI32(dcs[i], &v.dc_index) || !CastI32(t1s[i], &v.t1) ||
-          !CastI32(t2s[i], &v.t2) || cell_counts[i] > cells_flat.size() - k) {
-        return Status::ParseError("snapshot violation streams disagree");
-      }
-      v.cells.assign(cells_flat.begin() + k,
-                     cells_flat.begin() + k + cell_counts[i]);
-      k += cell_counts[i];
-    }
-    if (k != cells_flat.size()) {
+        cell_counts.size() != n || cells != cells_flat.size()) {
       return Status::ParseError("snapshot violation streams disagree");
     }
     return Status::OK();
   }
   size_t n = 0;
   HOLO_RETURN_NOT_OK(in->ReadCount(20, &n));
-  violations->resize(n);
-  for (Violation& v : *violations) {
-    HOLO_RETURN_NOT_OK(in->ReadI32(&v.dc_index));
-    HOLO_RETURN_NOT_OK(in->ReadI32(&v.t1));
-    HOLO_RETURN_NOT_OK(in->ReadI32(&v.t2));
-    HOLO_RETURN_NOT_OK(ReadCellVec(in, &v.cells));
+  for (size_t i = 0; i < n; ++i) {
+    int32_t field = 0;
+    for (int k = 0; k < 3; ++k) HOLO_RETURN_NOT_OK(in->ReadI32(&field));
+    std::vector<CellRef> cells;
+    HOLO_RETURN_NOT_OK(ReadCellVec(in, &cells));
   }
   return Status::OK();
 }
@@ -1198,7 +1153,6 @@ struct StagedSnapshot {
   std::vector<uint64_t> sorted_prefixes;
 
   std::vector<AttrId> attrs;
-  std::vector<Violation> violations;
   std::vector<CellRef> noisy_cells;
 
   std::vector<CellRef> query_cells;
@@ -1358,21 +1312,17 @@ Status ValidateColumnStoreSection(const StagedSnapshot& s) {
   return Status::OK();
 }
 
-/// Cross-artifact consistency: every cell, tuple, constraint, and value id
-/// the staged artifacts carry must stay inside the session's bounds, so a
+/// Cross-artifact consistency: every attribute, cell, and value id the
+/// staged artifacts carry must stay inside the snapshot's bounds, so a
 /// checksum-valid but internally inconsistent snapshot can never make a
 /// later stage index out of range. Graph-dependent checks are skipped for
 /// a deferred graph — the materializer runs the identical checks.
-Status ValidateArtifactBounds(const StagedSnapshot& s,
-                              const PipelineContext& ctx) {
+Status ValidateArtifactBounds(const StagedSnapshot& s) {
   const uint64_t num_rows = s.num_rows;
   const size_t num_attrs = s.num_attrs();
   auto cell_ok = [&](const CellRef& c) {
     return c.tid >= 0 && static_cast<uint64_t>(c.tid) < num_rows &&
            c.attr >= 0 && static_cast<size_t>(c.attr) < num_attrs;
-  };
-  auto tuple_ok = [&](TupleId t) {
-    return t >= 0 && static_cast<uint64_t>(t) < num_rows;
   };
   auto value_ok = [&](ValueId v) {
     return v >= 0 && static_cast<size_t>(v) < s.dict_size();
@@ -1380,16 +1330,6 @@ Status ValidateArtifactBounds(const StagedSnapshot& s,
   Status inconsistent = Status::ParseError("snapshot artifacts out of range");
   for (AttrId a : s.attrs) {
     if (a < 0 || static_cast<size_t>(a) >= num_attrs) return inconsistent;
-  }
-  for (const Violation& v : s.violations) {
-    if (v.dc_index < 0 ||
-        static_cast<size_t>(v.dc_index) >= ctx.dcs->size() ||
-        !tuple_ok(v.t1) || !tuple_ok(v.t2)) {
-      return inconsistent;
-    }
-    for (const CellRef& c : v.cells) {
-      if (!cell_ok(c)) return inconsistent;
-    }
   }
   for (const CellRef& c : s.noisy_cells) {
     if (!cell_ok(c)) return inconsistent;
@@ -1462,7 +1402,10 @@ void CommitStaged(StagedSnapshot* s, PipelineContext* ctx) {
   stats.num_truncated_dcs = s->num_truncated_dcs;
   if (s->valid_through > static_cast<int>(StageId::kDetect)) {
     ctx->attrs = std::move(s->attrs);
-    ctx->violations = std::move(s->violations);
+    // Detection is linear in the restored table, so the violation set is
+    // recomputed rather than stored. The noisy cells come from the file:
+    // feedback pins removed cells from them.
+    ctx->violations = ctx->Detector().DetectSet().violations;
     ctx->noisy = NoisyCells();
     for (const CellRef& c : s->noisy_cells) ctx->noisy.Add(c);
   }
@@ -1539,8 +1482,7 @@ Status ParseV1Payload(std::string_view body, size_t num_dcs,
 
   if (s->valid_through > static_cast<int>(StageId::kDetect)) {
     HOLO_RETURN_NOT_OK(ReadI32Vec(&reader, &s->attrs));
-    HOLO_RETURN_NOT_OK(
-        DeserializeViolations(&reader, SectionCodec::kRaw, &s->violations));
+    HOLO_RETURN_NOT_OK(SkipViolations(&reader, SectionCodec::kRaw));
     HOLO_RETURN_NOT_OK(ReadCellVec(&reader, &s->noisy_cells));
   }
   if (s->valid_through > static_cast<int>(StageId::kCompile)) {
@@ -1606,15 +1548,15 @@ Result<int> LoadV1(std::string_view bytes, PipelineContext* ctx) {
   StagedSnapshot staged;
   HOLO_RETURN_NOT_OK(ParseV1Payload(body, ctx->dcs->size(), &staged));
   HOLO_RETURN_NOT_OK(ValidateCompatibility(staged, *ctx));
-  HOLO_RETURN_NOT_OK(ValidateArtifactBounds(staged, *ctx));
+  HOLO_RETURN_NOT_OK(ValidateArtifactBounds(staged));
   int valid_through = staged.valid_through;
   CommitStaged(&staged, ctx);
   return valid_through;
 }
 
-// --- v2: sectioned layout --------------------------------------------------
+// --- v2/v3: sectioned layout -----------------------------------------------
 //
-//   [magic][u32 version=2][u64 dir_offset]
+//   [magic][u32 version=3 (or 2)][u64 dir_offset]
 //   [section 0 bytes][section 1 bytes]...      (contiguous, in id order)
 //   [u64 count][count x {u32 id, u32 codec, u64 offset, u64 size,
 //                        u64 checksum-of-section-bytes}]
@@ -1657,7 +1599,7 @@ struct SectionBlob {
 /// True when every stream the packed codec would emit for this context
 /// stays under the reader's kMaxStreamElements cap. The longest streams
 /// are flattened per-element columns: table cells per attribute, feature
-/// instances, factor var-ids, violation cells, marginal entries.
+/// instances, factor var-ids, marginal entries.
 bool PackedStreamsFit(const PipelineContext& ctx, int valid_through) {
   const Table& table = ctx.dataset->dirty();
   uint64_t longest = table.num_rows();
@@ -1666,10 +1608,6 @@ bool PackedStreamsFit(const PipelineContext& ctx, int valid_through) {
   // dictionary's size.
   grow(table.dict().size());
   if (valid_through > static_cast<int>(StageId::kDetect)) {
-    grow(ctx.violations.size());
-    uint64_t cells = 0;
-    for (const Violation& v : ctx.violations) cells += v.cells.size();
-    grow(cells);
     grow(ctx.noisy.size());
   }
   if (valid_through > static_cast<int>(StageId::kCompile)) {
@@ -1710,7 +1648,7 @@ bool PackedStreamsFit(const PipelineContext& ctx, int valid_through) {
   return longest <= kMaxStreamElements;
 }
 
-Status SaveSessionSnapshotV2(const PipelineContext& ctx, int valid_through,
+Status SaveSectioned(const PipelineContext& ctx, int valid_through,
                              const std::string& path, SectionCodec codec) {
   const Table& table = ctx.dataset->dirty();
   const Schema& schema = table.schema();
@@ -1779,11 +1717,9 @@ Status SaveSessionSnapshotV2(const PipelineContext& ctx, int valid_through,
     if (codec == SectionCodec::kPacked) {
       std::vector<uint64_t> attrs(ctx.attrs.begin(), ctx.attrs.end());
       WriteU64Stream(&w, attrs);
-      SerializeViolations(ctx.violations, codec, &w);
       WritePackedCellVec(&w, ctx.noisy.cells());
     } else {
       WriteI32Vec(&w, ctx.attrs);
-      SerializeViolations(ctx.violations, codec, &w);
       WriteCellVec(&w, ctx.noisy.cells());
     }
     add(SectionId::kDetect, codec, &w);
@@ -1940,14 +1876,13 @@ struct DirEntry {
   uint64_t checksum = 0;
 };
 
-Result<int> LoadV2(std::string_view bytes,
-                   std::shared_ptr<MmapReader> mapping,
-                   const std::string& path, PipelineContext* ctx,
-                   const SnapshotLoadOptions& options) {
-  BinaryReader header(bytes.substr(4, kHeaderBytes - 4));
-  uint32_t version = 0;
+/// Loads the sectioned layout: v3, or v2 with its violation list.
+Result<int> LoadSectioned(std::string_view bytes, uint32_t version,
+                          std::shared_ptr<MmapReader> mapping,
+                          const std::string& path, PipelineContext* ctx,
+                          const SnapshotLoadOptions& options) {
+  BinaryReader header(bytes.substr(8, kHeaderBytes - 8));
   uint64_t dir_offset = 0;
-  HOLO_RETURN_NOT_OK(header.ReadU32(&version));
   HOLO_RETURN_NOT_OK(header.ReadU64(&dir_offset));
   // Subtraction, not addition: a corrupt dir_offset near 2^64 must fail
   // this check, not wrap past it into an out-of-range substr. The caller
@@ -2148,13 +2083,15 @@ Result<int> LoadV2(std::string_view bytes,
               return Status::ParseError("snapshot artifacts out of range");
             }
           }
-          HOLO_RETURN_NOT_OK(
-              DeserializeViolations(&r, e.codec, &staged.violations));
+          if (version == kSnapshotFormatV2) {
+            HOLO_RETURN_NOT_OK(SkipViolations(&r, e.codec));
+          }
           HOLO_RETURN_NOT_OK(ReadPackedCellVec(&r, &staged.noisy_cells));
         } else {
           HOLO_RETURN_NOT_OK(ReadI32Vec(&r, &staged.attrs));
-          HOLO_RETURN_NOT_OK(
-              DeserializeViolations(&r, e.codec, &staged.violations));
+          if (version == kSnapshotFormatV2) {
+            HOLO_RETURN_NOT_OK(SkipViolations(&r, e.codec));
+          }
           HOLO_RETURN_NOT_OK(ReadCellVec(&r, &staged.noisy_cells));
         }
         break;
@@ -2251,7 +2188,7 @@ Result<int> LoadV2(std::string_view bytes,
 
   // Compatibility was already validated before the artifact sections
   // parsed; only the cross-artifact bounds remain.
-  HOLO_RETURN_NOT_OK(ValidateArtifactBounds(staged, *ctx));
+  HOLO_RETURN_NOT_OK(ValidateArtifactBounds(staged));
   int valid_through = staged.valid_through;
   size_t dict_size = staged.dict_size();
   uint64_t num_rows = staged.num_rows;
@@ -2288,7 +2225,7 @@ Status SaveSessionSnapshot(const PipelineContext& ctx, int valid_through,
         "cannot save a lazily restored session before its factor graph "
         "materializes (call PipelineContext::EnsureGraph)");
   }
-  return SaveSessionSnapshotV2(ctx, valid_through, path, options.codec);
+  return SaveSectioned(ctx, valid_through, path, options.codec);
 }
 
 Result<int> LoadSessionSnapshot(const std::string& path, PipelineContext* ctx,
@@ -2333,13 +2270,15 @@ Result<int> LoadSessionSnapshot(const std::string& path, PipelineContext* ctx,
   uint32_t version = 0;
   HOLO_RETURN_NOT_OK(header.ReadU32(&version));
   if (version == kSnapshotFormatV1) return LoadV1(bytes, ctx);
-  if (version == kSnapshotFormatVersion) {
-    return LoadV2(bytes, std::move(mapping), path, ctx, options);
+  if (version == kSnapshotFormatV2 || version == kSnapshotFormatVersion) {
+    return LoadSectioned(bytes, version, std::move(mapping), path, ctx,
+                         options);
   }
   return Status::InvalidArgument(
       "snapshot format version mismatch: file has v" +
       std::to_string(version) + ", this build reads v" +
       std::to_string(kSnapshotFormatVersion) + " (and v" +
+      std::to_string(kSnapshotFormatV2) + ", v" +
       std::to_string(kSnapshotFormatV1) + ")");
 }
 

@@ -11,15 +11,21 @@
 
 namespace holoclean {
 
-/// Current version of the SessionSnapshot binary format (the v2 sectioned
-/// layout: a section directory with per-section codecs and checksums, so
-/// sections decode — and lazily materialize — independently). Snapshots
-/// written by this build use it.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// Current version of the SessionSnapshot binary format: the sectioned
+/// layout (a section directory with per-section codecs and checksums, so
+/// sections decode — and lazily materialize — independently) whose detect
+/// section holds the repairable attributes and the noisy cells only. The
+/// violation set is recomputed from the restored table. Snapshots written
+/// by this build use it.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
-/// The original monolithic format of PR 2. Still fully readable (the
-/// back-compat contract is pinned by the golden fixture in tests/data/);
-/// this build no longer writes it.
+/// The same sectioned layout with the materialized violation pair list in
+/// the detect section. Still readable (the list is parsed and discarded);
+/// pinned by the golden fixture in tests/data/.
+inline constexpr uint32_t kSnapshotFormatV2 = 2;
+
+/// The original monolithic format. Still readable (its violation list is
+/// parsed and discarded); pinned by the golden fixture in tests/data/.
 inline constexpr uint32_t kSnapshotFormatV1 = 1;
 
 struct SnapshotSaveOptions {
@@ -114,7 +120,8 @@ Status DeserializeMarginals(BinaryReader* in, SectionCodec codec,
 /// interned strings: feedback pins mutate the table and compilation interns
 /// matched values, and the grounded graph references both by id.
 /// Artifacts every compile execution rebuilds from scratch (co-occurrence
-/// statistics, external-data matches, tuple groups) are not persisted.
+/// statistics, external-data matches, tuple groups) are not persisted, and
+/// neither is the violation set, a pure function of the table.
 ///
 /// A lazily restored context must materialize its graph before saving
 /// (Session::Save does); a still-deferred graph is an InvalidArgument.
@@ -140,7 +147,9 @@ Status SaveSessionSnapshot(const PipelineContext& ctx, int valid_through,
 /// On success the context holds the persisted artifacts, the dirty table
 /// holds the cell values from save time (re-applying any feedback pins),
 /// and the returned value is the number of leading stages the snapshot
-/// carries artifacts for (the session's new `valid_through`).
+/// carries artifacts for (the session's new `valid_through`). When detect
+/// is among them, the violation set is re-detected from the restored
+/// table; the stored noisy cells stay as saved, since pins edit them.
 Result<int> LoadSessionSnapshot(const std::string& path, PipelineContext* ctx,
                                 const SnapshotLoadOptions& options = {});
 

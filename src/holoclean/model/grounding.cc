@@ -80,28 +80,7 @@ void Grounder::BuildDcIndexes() {
       }
     }
 
-    // FD shape: every predicate spans both tuples on the same attribute,
-    // exactly one is a NEQ (the dependent attribute), the rest are EQ.
-    AttrId neq_attr = -1;
-    bool fd_shaped = true;
-    int neq_count = 0;
-    for (const Predicate& p : dc.preds) {
-      if (p.rhs_is_constant || p.lhs_tuple == p.rhs_tuple ||
-          p.lhs_attr != p.rhs_attr) {
-        fd_shaped = false;
-        break;
-      }
-      if (p.op == Op::kNeq) {
-        ++neq_count;
-        neq_attr = p.lhs_attr;
-      } else if (p.op != Op::kEq) {
-        fd_shaped = false;
-        break;
-      }
-    }
-    if (fd_shaped && neq_count == 1) {
-      fd_target_attr_[i] = neq_attr;
-    }
+    fd_target_attr_[i] = dc.FdTargetAttr();
   }
 }
 
@@ -347,7 +326,7 @@ void Grounder::GroundDcFactors(FactorGraph* graph) {
   TupleGroups local_groups;
   const TupleGroups* groups = in_.groups;
   if (opt_.use_partitioning && groups == nullptr) {
-    static const std::vector<Violation> kNoViolations;
+    static const ViolationSet kNoViolations;
     const auto& violations =
         in_.violations != nullptr ? *in_.violations : kNoViolations;
     local_groups = BuildTupleGroups(n, dcs.size(), violations);

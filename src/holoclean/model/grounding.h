@@ -70,7 +70,7 @@ struct GroundingInput {
   /// Co-occurrence statistics for the probability-valued features.
   const CooccurrenceStats* cooc = nullptr;
   const std::vector<MatchedEntry>* matches = nullptr;
-  const std::vector<Violation>* violations = nullptr;
+  const ViolationSet* violations = nullptr;
   /// Precomputed Algorithm-3 tuple groups. When null and partitioning is
   /// enabled, the grounder builds them from `violations` on demand. The
   /// pipeline passes its context-owned copy so the groups that drove

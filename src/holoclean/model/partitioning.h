@@ -20,9 +20,11 @@ struct TupleGroups {
 };
 
 /// Algorithm 3 of the paper: partitions tuples into per-constraint groups
-/// using the connected components of the detected violations.
+/// using the connected components of the detected violations. A conflict
+/// block is a component as it stands (its members conflict pairwise across
+/// values); pairs are joined with union-find. Groups ascend by first member.
 TupleGroups BuildTupleGroups(size_t num_tuples, size_t num_dcs,
-                             const std::vector<Violation>& violations);
+                             const ViolationSet& violations);
 
 }  // namespace holoclean
 

@@ -539,26 +539,32 @@ JsonValue CleaningServer::DoExplainStatus(const Request& req) {
                static_cast<uint64_t>(admission_.inflight(req.tenant))));
   resp.Set("draining", JsonValue::Bool(draining_.load()));
   {
-    std::lock_guard<std::mutex> lock(slots_mu_);
-    auto it = slots_.find(key);
+    // Only the lookup holds slots_mu_: waiting for a busy slot's lock under
+    // it would stall every other tenant's requests, which take slots_mu_
+    // in GetOrCreateSlot.
+    std::shared_ptr<TenantSlot> slot;
+    {
+      std::lock_guard<std::mutex> lock(slots_mu_);
+      auto it = slots_.find(key);
+      if (it != slots_.end()) slot = it->second;
+    }
     bool has_run = false;
     JsonValue stream = JsonValue::Object();
     stream.Set("appended_rows", JsonValue::Number(uint64_t{0}));
     stream.Set("batches", JsonValue::Number(uint64_t{0}));
     stream.Set("last_batch_seconds", JsonValue::Number(0.0));
-    if (it != slots_.end()) {
-      std::lock_guard<std::mutex> slot_lock(it->second->mu);
-      has_run = it->second->has_run;
+    if (slot != nullptr) {
+      std::lock_guard<std::mutex> slot_lock(slot->mu);
+      has_run = slot->has_run;
       // Appends grow the slot's table past the registered rows.
       resp.Set("rows", JsonValue::Number(static_cast<uint64_t>(
-                           it->second->dataset->dirty().num_rows())));
-      stream.Set("appended_rows",
-                 JsonValue::Number(static_cast<uint64_t>(
-                     it->second->stream_appended_rows)));
+                           slot->dataset->dirty().num_rows())));
+      stream.Set("appended_rows", JsonValue::Number(static_cast<uint64_t>(
+                                      slot->stream_appended_rows)));
       stream.Set("batches", JsonValue::Number(static_cast<uint64_t>(
-                                it->second->stream_batches)));
+                                slot->stream_batches)));
       stream.Set("last_batch_seconds",
-                 JsonValue::Number(it->second->stream_last_batch_seconds));
+                 JsonValue::Number(slot->stream_last_batch_seconds));
     }
     resp.Set("has_run", JsonValue::Bool(has_run));
     resp.Set("stream", std::move(stream));

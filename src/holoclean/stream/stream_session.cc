@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "holoclean/detect/violation_detector.h"
 #include "holoclean/util/failpoint.h"
 #include "holoclean/util/timer.h"
 
@@ -82,17 +81,10 @@ Result<Report> StreamSession::AppendRows(
     return report;
   }
 
-  // Exact delta detection over the blocks the new tuples touch, merged
-  // over a copy of the cached violations so an injected commit fault can
-  // still roll back to the pre-batch state.
+  // Re-detect the grown table (linear in it) before the commit point, so
+  // an injected commit fault can still roll back to the pre-batch state.
   Timer detect_timer;
-  ViolationDetector::Options dopt;
-  dopt.sim_threshold = ctx.config.sim_threshold;
-  dopt.pool = ctx.pool;
-  ViolationDetector detector(&dirty, ctx.dcs, dopt);
-  DeltaDetectResult delta = detector.DetectAppended(old_rows);
-  DetectResult merged = ViolationDetector::MergeAppendDelta(
-      ctx.violations, ctx.dcs->size(), std::move(delta));
+  DetectArtifacts detected = ctx.Detect();
   batch.detect_seconds = detect_timer.Seconds();
 
   {
@@ -104,18 +96,10 @@ Result<Report> StreamSession::AppendRows(
   }
 
   // Commit point: from here on the appended rows stay and the detect
-  // artifacts are exactly what a full DetectStage over the grown table
-  // would produce.
+  // artifacts are exactly what a DetectStage over the grown table
+  // produces.
   ctx.attrs = ctx.dataset->RepairableAttrs();
-  ctx.violations = std::move(merged.violations);
-  ctx.noisy = ViolationDetector::NoisyFromViolations(ctx.violations);
-  if (ctx.extra_detectors != nullptr) {
-    ctx.noisy.Merge(ctx.extra_detectors->Detect(*ctx.dataset));
-  }
-  ctx.report.stats.num_violations = ctx.violations.size();
-  ctx.report.stats.num_noisy_cells = ctx.noisy.size();
-  ctx.report.stats.detect_truncated = !merged.truncated_dcs.empty();
-  ctx.report.stats.num_truncated_dcs = merged.truncated_dcs.size();
+  ctx.InstallDetect(std::move(detected));
   batch.new_violations = ctx.violations.size() - old_violations;
 
   session_->Invalidate(StageId::kCompile);

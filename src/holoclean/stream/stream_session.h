@@ -10,9 +10,9 @@
 namespace holoclean {
 
 /// The one way AppendRows keeps the model in sync with the growing table:
-/// every batch re-compiles the model from the (incrementally maintained)
-/// detect artifacts, so violations, domains, and repairs are bit-identical
-/// to cleaning the final table from scratch. The enum stays only because
+/// every batch re-detects the grown table and re-compiles the model, so
+/// violations, domains, and repairs are bit-identical to cleaning the
+/// final table from scratch. The enum stays only because
 /// holobench's serve_write replay (bench/e2e/serve.cc) sets it, until a
 /// benchmark change can drop it.
 enum class StreamMode {
@@ -29,12 +29,12 @@ struct StreamOptions {
 /// Per-batch accounting.
 struct StreamBatchStats {
   size_t rows = 0;
-  /// Violations the batch added (net, after the exact merge).
+  /// Violations the batch added.
   size_t new_violations = 0;
   /// The session had never run: the batch fell back to a full Run().
   bool full_run = false;
-  /// Delta detection + merge. Only holobench's serve_write replay reads
-  /// it; it stays until a benchmark change can drop it.
+  /// Re-detection of the grown table. Only holobench's serve_write replay
+  /// reads it; it stays until a benchmark change can drop it.
   double detect_seconds = 0.0;
   double pipeline_seconds = 0.0; ///< The staged re-run.
   /// Wall time of the whole AppendRows call. holobench's serve_write
@@ -55,12 +55,10 @@ struct StreamStats {
 };
 
 /// Streaming ingestion over a Session: appends batches of rows to the
-/// dirty table and re-cleans. Detection is incremental and exact — only
-/// the blocks the new tuples touch are re-scanned, and the delta is merged
-/// over the cached violations so the detect artifacts match a full
-/// re-detection bit for bit. Compile, learn, and infer then re-run on the
-/// grown table, so a batch costs about as much as a cold clean of it minus
-/// detection.
+/// dirty table and re-cleans. Detection re-runs over the whole grown table
+/// (it is linear in the table, about 1% of a clean), then compile, learn,
+/// and infer re-run on it, so a batch costs about as much as a cold clean
+/// of the grown table.
 ///
 /// Error handling: a failure before the batch commits rolls the table
 /// back (Table::Truncate) and leaves the session exactly as it was. A

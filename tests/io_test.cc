@@ -311,6 +311,10 @@ TEST(SessionSnapshot, SaveAfterLearnRestoreRerunFromInferIsBitIdentical) {
   Session resumed = std::move(restored).value();
   EXPECT_TRUE(resumed.StageIsValid(StageId::kLearn));
   EXPECT_FALSE(resumed.StageIsValid(StageId::kInfer));
+  // The snapshot stores no violation set; the restore re-detects it from
+  // the restored table.
+  EXPECT_TRUE(resumed.context().violations == session.context().violations);
+  EXPECT_GT(resumed.context().violations.size(), 0u);
   // The persisted graph is reused exactly like an in-process rerun: no
   // re-grounding.
   size_t ground_runs_before = resumed.context().ground_runs;
@@ -878,6 +882,52 @@ TEST(SessionSnapshot, GoldenV1SnapshotRestoresBitIdentically) {
   const auto& ma = ref_session.value().context().marginals.probs();
   const auto& mb = resumed.context().marginals.probs();
   ASSERT_EQ(ma, mb);
+}
+
+// v2 snapshots stored the materialized violation pair list in their detect
+// section. One written by that format's last writer (checked into
+// tests/data/, saved after learn) must restore — the list parsed and
+// dropped, the violation set re-detected — and resume bit-identically.
+TEST(SessionSnapshot, GoldenV2SnapshotRestoresBitIdentically) {
+  std::string golden =
+      std::string(HOLOCLEAN_TEST_DATA_DIR) + "/golden_v2.snapshot";
+  {
+    std::ifstream in(golden, std::ios::binary);
+    char header[8] = {};
+    in.read(header, sizeof(header));
+    ASSERT_EQ(static_cast<uint32_t>(header[4]), kSnapshotFormatV2);
+  }
+  SnapshotFixture f;
+  auto restored =
+      test_helpers::RestoreSessionOver(f.config, golden, &f.dataset, f.dcs);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  Session resumed = std::move(restored).value();
+  EXPECT_TRUE(resumed.StageIsValid(StageId::kLearn));
+  EXPECT_FALSE(resumed.StageIsValid(StageId::kInfer));
+  auto finished = resumed.Run();
+  ASSERT_TRUE(finished.ok()) << finished.status();
+
+  // Reference: a fresh clean of the same inputs.
+  SnapshotFixture ref;
+  auto ref_session =
+      test_helpers::OpenSessionOver(ref.config, &ref.dataset, ref.dcs);
+  ASSERT_TRUE(ref_session.ok());
+  auto ref_report = ref_session.value().Run();
+  ASSERT_TRUE(ref_report.ok());
+
+  const PipelineContext& a = ref_session.value().context();
+  const PipelineContext& b = resumed.context();
+  EXPECT_TRUE(a.violations == b.violations);
+  EXPECT_EQ(a.noisy.cells(), b.noisy.cells());
+  ASSERT_EQ(ref_report.value().repairs.size(), finished.value().repairs.size());
+  for (size_t i = 0; i < finished.value().repairs.size(); ++i) {
+    const Repair& x = ref_report.value().repairs[i];
+    const Repair& y = finished.value().repairs[i];
+    EXPECT_EQ(x.cell, y.cell);
+    EXPECT_EQ(x.new_value, y.new_value);
+    EXPECT_EQ(x.probability, y.probability);
+  }
+  EXPECT_EQ(a.marginals.probs(), b.marginals.probs());
 }
 
 TEST(SessionSnapshot, MmapRestoreMatchesEagerRestoreBitForBit) {

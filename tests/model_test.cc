@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+
 #include "holoclean/constraints/parser.h"
 #include "holoclean/detect/violation_detector.h"
 #include "holoclean/model/compiled_graph.h"
@@ -192,12 +195,22 @@ TEST(DomainPruning, TotalCandidatesSums) {
 
 // ---------- Partitioning (Algorithm 3) ----------
 
+/// A violation set whose constraints keep the given pairs.
+ViolationSet PairsOnly(
+    size_t num_dcs,
+    const std::vector<std::tuple<int, TupleId, TupleId>>& pairs) {
+  ViolationSet set;
+  set.per_dc.resize(num_dcs);
+  for (const auto& [dc, t1, t2] : pairs) {
+    set.per_dc[static_cast<size_t>(dc)].pairs.emplace_back(t1, t2);
+    ++set.per_dc[static_cast<size_t>(dc)].count;
+  }
+  return set;
+}
+
 TEST(Partitioning, ConnectedComponentsPerConstraint) {
-  std::vector<Violation> violations;
-  violations.push_back({0, 0, 1, {}});
-  violations.push_back({0, 1, 2, {}});
-  violations.push_back({0, 5, 6, {}});
-  violations.push_back({1, 0, 9, {}});
+  ViolationSet violations =
+      PairsOnly(2, {{0, 0, 1}, {0, 1, 2}, {0, 5, 6}, {1, 0, 9}});
   TupleGroups groups = BuildTupleGroups(10, 2, violations);
   ASSERT_EQ(groups.groups_per_dc.size(), 2u);
   // DC 0: {0,1,2} and {5,6}.
@@ -212,18 +225,25 @@ TEST(Partitioning, ConnectedComponentsPerConstraint) {
   EXPECT_EQ(groups.TotalPairs(), 5u);
 }
 
+TEST(Partitioning, ConflictBlocksAreGroupsAsTheyStand) {
+  ViolationSet violations;
+  violations.per_dc.resize(1);
+  violations.per_dc[0].blocks = {{1, 4, 7}, {2, 3}};
+  TupleGroups groups = BuildTupleGroups(10, 1, violations);
+  EXPECT_EQ(groups.groups_per_dc[0], violations.per_dc[0].blocks);
+}
+
 TEST(Partitioning, ViolatingPairsStayInSameGroupProperty) {
   // Property: every violating pair ends up in some group of its constraint.
-  std::vector<Violation> violations;
-  for (int i = 0; i < 20; i += 2) {
-    violations.push_back({0, i, i + 1, {}});
-  }
+  std::vector<std::tuple<int, TupleId, TupleId>> pairs;
+  for (int i = 0; i < 20; i += 2) pairs.emplace_back(0, i, i + 1);
+  ViolationSet violations = PairsOnly(1, pairs);
   TupleGroups groups = BuildTupleGroups(20, 1, violations);
-  for (const auto& v : violations) {
+  for (const auto& [t1, t2] : violations.per_dc[0].pairs) {
     bool together = false;
     for (const auto& g : groups.groups_per_dc[0]) {
-      bool has1 = std::find(g.begin(), g.end(), v.t1) != g.end();
-      bool has2 = std::find(g.begin(), g.end(), v.t2) != g.end();
+      bool has1 = std::find(g.begin(), g.end(), t1) != g.end();
+      bool has2 = std::find(g.begin(), g.end(), t2) != g.end();
       if (has1 && has2) together = true;
       EXPECT_EQ(has1, has2);  // Never split a violating pair.
     }
@@ -232,7 +252,7 @@ TEST(Partitioning, ViolatingPairsStayInSameGroupProperty) {
 }
 
 TEST(Partitioning, EmptyViolationsEmptyGroups) {
-  TupleGroups groups = BuildTupleGroups(10, 3, {});
+  TupleGroups groups = BuildTupleGroups(10, 3, ViolationSet());
   for (const auto& g : groups.groups_per_dc) EXPECT_TRUE(g.empty());
   EXPECT_EQ(groups.TotalPairs(), 0u);
 }
@@ -256,9 +276,9 @@ struct GroundingFixture {
     EXPECT_TRUE(parsed.ok());
     dcs = parsed.value();
     cooc = CooccurrenceStats::BuildColumnar(table, attrs);
-    ViolationDetector detector(&table, &dcs);
-    violations = detector.Detect();
-    noisy = ViolationDetector::NoisyFromViolations(violations);
+    DetectArtifacts detected = ViolationDetector(&table, &dcs).DetectSet();
+    violations = std::move(detected.violations);
+    noisy = std::move(detected.noisy);
     for (size_t t = 0; t < table.num_rows(); ++t) {
       for (AttrId a : attrs) {
         CellRef c{static_cast<TupleId>(t), a};
@@ -285,7 +305,7 @@ struct GroundingFixture {
   std::vector<AttrId> attrs;
   std::vector<DenialConstraint> dcs;
   CooccurrenceStats cooc;
-  std::vector<Violation> violations;
+  ViolationSet violations;
   NoisyCells noisy;
   std::vector<CellRef> evidence;
   PrunedDomains domains;

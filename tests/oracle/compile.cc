@@ -4,10 +4,40 @@
 #include <unordered_map>
 
 #include "holoclean/model/feature_registry.h"
+#include "holoclean/util/union_find.h"
 #include "oracle.h"
 
 namespace holoclean {
 namespace oracle {
+
+TupleGroups BuildTupleGroups(size_t num_tuples, size_t num_dcs,
+                             const std::vector<Violation>& violations) {
+  TupleGroups out;
+  out.groups_per_dc.resize(num_dcs);
+  for (size_t dc = 0; dc < num_dcs; ++dc) {
+    UnionFind uf(num_tuples);
+    std::vector<bool> touched(num_tuples, false);
+    for (const Violation& v : violations) {
+      if (static_cast<size_t>(v.dc_index) != dc) continue;
+      touched[static_cast<size_t>(v.t1)] = true;
+      touched[static_cast<size_t>(v.t2)] = true;
+      uf.Union(static_cast<size_t>(v.t1), static_cast<size_t>(v.t2));
+    }
+    std::unordered_map<size_t, std::vector<TupleId>> components;
+    for (size_t t = 0; t < num_tuples; ++t) {
+      if (!touched[t]) continue;
+      components[uf.Find(t)].push_back(static_cast<TupleId>(t));
+    }
+    auto& groups = out.groups_per_dc[dc];
+    for (auto& [root, members] : components) {
+      if (members.size() < 2) continue;
+      std::sort(members.begin(), members.end());
+      groups.push_back(std::move(members));
+    }
+    std::sort(groups.begin(), groups.end());
+  }
+  return out;
+}
 
 CooccurrenceCounts CountCooccurrence(const Table& table,
                                      const std::vector<AttrId>& attrs) {

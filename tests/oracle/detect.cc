@@ -157,5 +157,55 @@ std::string DiffViolations(const std::vector<Violation>& got,
   return "";
 }
 
+std::string DiffViolationSet(const ViolationSet& got,
+                             const NoisyCells& got_noisy,
+                             const DetectResult& expected,
+                             size_t num_tuples) {
+  const size_t num_dcs = got.per_dc.size();
+  std::vector<std::vector<std::pair<TupleId, TupleId>>> pairs(num_dcs);
+  for (const Violation& v : expected.violations) {
+    if (v.dc_index < 0 || static_cast<size_t>(v.dc_index) >= num_dcs) {
+      return "reference violation of constraint " +
+             std::to_string(v.dc_index) + " outside the set";
+    }
+    pairs[static_cast<size_t>(v.dc_index)].emplace_back(v.t1, v.t2);
+  }
+  for (size_t d = 0; d < num_dcs; ++d) {
+    const DcViolations& dc = got.per_dc[d];
+    if (dc.count != pairs[d].size()) {
+      std::ostringstream diff;
+      diff << "constraint " << d << ": " << dc.count << " violations, reference "
+           << pairs[d].size();
+      return diff.str();
+    }
+    if (dc.blocks.empty() && dc.pairs != pairs[d]) {
+      return "constraint " + std::to_string(d) + ": pairs differ";
+    }
+  }
+  if (got.TruncatedDcs() != expected.truncated_dcs) {
+    return "truncated constraints differ";
+  }
+  NoisyCells noisy;
+  for (const Violation& v : expected.violations) {
+    for (const CellRef& c : v.cells) noisy.Add(c);
+  }
+  if (got_noisy.cells() != noisy.cells()) {
+    const auto& a = got_noisy.cells();
+    const auto& b = noisy.cells();
+    size_t i = 0;
+    while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+    std::ostringstream diff;
+    diff << "noisy cells differ at position " << i << " (" << a.size()
+         << " cells, reference " << b.size() << ")";
+    return diff.str();
+  }
+  if (holoclean::BuildTupleGroups(num_tuples, num_dcs, got).groups_per_dc !=
+      BuildTupleGroups(num_tuples, num_dcs, expected.violations)
+          .groups_per_dc) {
+    return "tuple groups differ";
+  }
+  return "";
+}
+
 }  // namespace oracle
 }  // namespace holoclean

@@ -155,6 +155,21 @@ class GibbsInterpreter {
     return out;
   }
 
+  const std::vector<int>& assignment() const { return assignment_; }
+
+  /// Unary plus factor scores of `var_id`'s candidates under the current
+  /// assignment, in the order SampleVariable adds them.
+  std::vector<double> ConditionalScores(int var_id) {
+    const Variable& var = graph_.variable(var_id);
+    std::vector<CellOverride> overrides;
+    std::vector<double> scores(unary_scores_[static_cast<size_t>(var_id)]);
+    if (graph_.FactorsOfVar(var_id).empty()) return scores;
+    for (size_t k = 0; k < var.NumCandidates(); ++k) {
+      scores[k] += FactorScore(var_id, static_cast<int>(k), &overrides);
+    }
+    return scores;
+  }
+
  private:
   double FactorScore(int var_id, int candidate_index,
                      std::vector<CellOverride>* overrides) {
@@ -262,9 +277,20 @@ class GibbsInterpreter {
 Marginals GibbsMarginals(const FactorGraph& graph, const Table& table,
                          const std::vector<DenialConstraint>& dcs,
                          const WeightStore& weights,
-                         const GibbsOptions& options, double sim_threshold) {
-  return GibbsInterpreter(graph, table, dcs, weights, options, sim_threshold)
-      .Run();
+                         const GibbsOptions& options, double sim_threshold,
+                         GibbsEnd* end) {
+  GibbsInterpreter interpreter(graph, table, dcs, weights, options,
+                               sim_threshold);
+  Marginals marginals = interpreter.Run();
+  if (end != nullptr) {
+    end->assignment = interpreter.assignment();
+    end->conditionals.assign(graph.num_variables(), {});
+    for (int32_t v : graph.query_vars()) {
+      end->conditionals[static_cast<size_t>(v)] =
+          interpreter.ConditionalScores(v);
+    }
+  }
+  return marginals;
 }
 
 }  // namespace oracle

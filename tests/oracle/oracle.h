@@ -24,6 +24,7 @@
 #include "holoclean/infer/marginals.h"
 #include "holoclean/model/domain_pruning.h"
 #include "holoclean/model/factor_graph.h"
+#include "holoclean/model/partitioning.h"
 #include "holoclean/stats/cooccurrence.h"
 
 namespace holoclean {
@@ -45,6 +46,16 @@ DetectResult DetectViolations(const Table& table,
 /// constraint, tuple pair, and cells), or returns "" when they are equal.
 std::string DiffViolations(const std::vector<Violation>& got,
                            const std::vector<Violation>& expected);
+
+/// Checks a violation set and its noisy cells against a materialized pair
+/// list over a table of `num_tuples` rows: the per-constraint counts, the
+/// pairs of every constraint kept as pairs, the truncated constraints, the
+/// noisy cells in order, and the tuple groups (production BuildTupleGroups
+/// over the set vs the pair-list BuildTupleGroups below). Describes the
+/// first difference, or returns "".
+std::string DiffViolationSet(const ViolationSet& got,
+                             const NoisyCells& got_noisy,
+                             const DetectResult& expected, size_t num_tuples);
 
 // --- Stats ------------------------------------------------------------------
 
@@ -75,6 +86,12 @@ std::string DiffCooccurrence(const CooccurrenceStats& stats,
                              const std::vector<AttrId>& attrs);
 
 // --- Model ------------------------------------------------------------------
+
+/// Algorithm 3 over a materialized pair list: per constraint, union-find
+/// over its violating pairs; components of two or more tuples, sorted, in
+/// sorted order.
+TupleGroups BuildTupleGroups(size_t num_tuples, size_t num_dcs,
+                             const std::vector<Violation>& violations);
 
 /// Algorithm 2 cell by cell, scoring candidates in a hash map per cell.
 PrunedDomains PruneDomains(const Table& table,
@@ -109,14 +126,25 @@ std::vector<double> TrainSgd(const FactorGraph& graph,
 Marginals ExactIndependentMarginals(const FactorGraph& graph,
                                     const WeightStore& weights);
 
+/// Where Gibbs chains ended, comparable with a GibbsSampler after Run().
+struct GibbsEnd {
+  /// Candidate index per variable (GibbsSampler::assignment()).
+  std::vector<int> assignment;
+  /// Per query variable id, its candidate scores at that state
+  /// (GibbsSampler::ConditionalScores); empty for evidence variables.
+  std::vector<std::vector<double>> conditionals;
+};
+
 /// Single-site Gibbs chains per connected component, scoring every DC
 /// factor by evaluating its constraint under the candidate overrides at
 /// `sim_threshold`. Components run on options.pool when given; each chain
 /// is seeded by its component, so the result is thread-count invariant.
+/// `end`, when given, receives the chains' final state.
 Marginals GibbsMarginals(const FactorGraph& graph, const Table& table,
                          const std::vector<DenialConstraint>& dcs,
                          const WeightStore& weights,
-                         const GibbsOptions& options, double sim_threshold);
+                         const GibbsOptions& options, double sim_threshold,
+                         GibbsEnd* end = nullptr);
 
 // --- Whole pipeline ---------------------------------------------------------
 
@@ -131,10 +159,15 @@ std::vector<CellRef> EvidenceSample(const Table& table,
 /// WeightInitializer, refined by TrainSgd over ctx.graph's evidence.
 WeightStore LearnWeights(const PipelineContext& ctx);
 
+/// The infer stage's Gibbs options under ctx.config (on ctx.pool).
+GibbsOptions InferGibbsOptions(const PipelineContext& ctx);
+
 /// The infer stage on the reference path over ctx.graph: exact marginals
-/// without DC factors, Gibbs chains (on ctx.pool) otherwise.
+/// without DC factors, Gibbs chains (on ctx.pool) otherwise, whose final
+/// state goes to `end` when given.
 Marginals InferMarginals(const PipelineContext& ctx,
-                         const WeightStore& weights);
+                         const WeightStore& weights,
+                         GibbsEnd* end = nullptr);
 
 /// The repair stage: MAP candidate per query variable of ctx.graph.
 void ExtractRepairs(const PipelineContext& ctx, const Marginals& marginals,
@@ -142,12 +175,14 @@ void ExtractRepairs(const PipelineContext& ctx, const Marginals& marginals,
                     std::vector<CellPosterior>* posteriors);
 
 /// Recomputes every artifact of a session that ran through repair —
-/// violations, noisy cells, statistics, evidence sample, domains, the
-/// kCondProb features, weights, marginals, repairs, and posteriors — on the
-/// reference paths, feeding each layer the production artifacts upstream
-/// of it, and describes the first difference ("" when every layer is
-/// bit-identical). Covers sessions without external dictionaries, extra
-/// detectors, or feedback pins.
+/// violations, noisy cells, statistics, evidence sample, domains, tuple
+/// groups, the kCondProb features, weights, marginals (and, under Gibbs,
+/// the chains' final states and every query variable's conditional scores
+/// there), repairs, and posteriors — on the reference
+/// paths, feeding each layer the production artifacts upstream of it, and
+/// describes the first difference ("" when every layer is bit-identical).
+/// Covers sessions without external dictionaries, extra detectors, or
+/// feedback pins.
 std::string DiffPipeline(const PipelineContext& ctx);
 
 }  // namespace oracle

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <memory>
 
 #include "holoclean/model/weight_initializer.h"
 #include "holoclean/util/rng.h"
@@ -50,19 +51,23 @@ WeightStore LearnWeights(const PipelineContext& ctx) {
   return weights;
 }
 
+GibbsOptions InferGibbsOptions(const PipelineContext& ctx) {
+  GibbsOptions options;
+  options.burn_in = ctx.config.gibbs_burn_in;
+  options.samples = ctx.config.gibbs_samples;
+  options.seed = ctx.config.seed ^ 0x2545F4914F6CDD1DULL;
+  options.pool = ctx.pool;
+  return options;
+}
+
 Marginals InferMarginals(const PipelineContext& ctx,
-                         const WeightStore& weights) {
+                         const WeightStore& weights, GibbsEnd* end) {
   if (ctx.graph.dc_factors().empty()) {
     return ExactIndependentMarginals(ctx.graph, weights);
   }
-  const HoloCleanConfig& config = ctx.config;
-  GibbsOptions options;
-  options.burn_in = config.gibbs_burn_in;
-  options.samples = config.gibbs_samples;
-  options.seed = config.seed ^ 0x2545F4914F6CDD1DULL;
-  options.pool = ctx.pool;
   return GibbsMarginals(ctx.graph, ctx.dataset->dirty(), *ctx.dcs, weights,
-                        options, config.sim_threshold);
+                        InferGibbsOptions(ctx), ctx.config.sim_threshold,
+                        end);
 }
 
 void ExtractRepairs(const PipelineContext& ctx, const Marginals& marginals,
@@ -96,17 +101,17 @@ std::string DiffPipeline(const PipelineContext& ctx) {
   }
   DetectResult detected =
       DetectViolations(table, *ctx.dcs, config.sim_threshold);
-  std::string diff = DiffViolations(ctx.violations, detected.violations);
+  std::string diff =
+      DiffViolationSet(ctx.violations, ctx.noisy, detected, table.num_rows());
   if (!diff.empty()) return "detect: " + diff;
+  if (ctx.report.stats.num_violations != detected.violations.size()) {
+    return "detect: violation count differs";
+  }
   if (ctx.report.stats.detect_truncated != !detected.truncated_dcs.empty() ||
       ctx.report.stats.num_truncated_dcs != detected.truncated_dcs.size()) {
     return "detect: truncation flags differ";
   }
-  NoisyCells noisy;
-  for (const Violation& v : detected.violations) {
-    for (const CellRef& c : v.cells) noisy.Add(c);
-  }
-  if (ctx.noisy.cells() != noisy.cells()) return "detect: noisy cells differ";
+  const NoisyCells& noisy = ctx.noisy;
 
   // Stats: the compile stage keeps none, so recompute them the way it
   // does and check them against the recount.
@@ -130,15 +135,53 @@ std::string DiffPipeline(const PipelineContext& ctx) {
         ctx.domains.candidates)) {
     return "compile: candidate domains differ";
   }
+  const bool partitioned = config.partitioning &&
+                           (config.dc_mode == DcMode::kFactors ||
+                            config.dc_mode == DcMode::kBoth);
+  if (partitioned &&
+      ctx.groups.groups_per_dc !=
+          BuildTupleGroups(table.num_rows(), ctx.dcs->size(),
+                           detected.violations)
+              .groups_per_dc) {
+    return "compile: tuple groups differ";
+  }
   diff = DiffCondProbFeatures(ctx.graph, table, ctx.attrs, cooc);
   if (!diff.empty()) return "ground: " + diff;
 
   // Learn, infer, repair.
   WeightStore weights = LearnWeights(ctx);
   if (weights.raw() != ctx.weights.raw()) return "learn: weights differ";
-  Marginals marginals = InferMarginals(ctx, weights);
+  GibbsEnd end;
+  Marginals marginals = InferMarginals(ctx, weights, &end);
   if (marginals.probs() != ctx.marginals.probs()) {
     return "infer: marginals differ";
+  }
+  if (!ctx.graph.dc_factors().empty()) {
+    // Gibbs marginals are sample counts, and a small change in the factor
+    // scores can leave every draw, and so every count, as it was. The
+    // chains' final states are compared, and every query variable's
+    // scores at that state, which any change in the scoring moves.
+    std::shared_ptr<const CompiledGraph> compiled = ctx.compiled;
+    if (compiled == nullptr) {
+      CompiledGraphOptions copts;
+      copts.violation_table_cap = config.dc_table_cap;
+      copts.sim_threshold = config.sim_threshold;
+      compiled = std::make_shared<const CompiledGraph>(
+          CompiledGraph::Build(ctx.graph, table, *ctx.dcs, copts, ctx.pool));
+    }
+    GibbsSampler sampler(&ctx.graph, *compiled, &table, ctx.dcs,
+                         &ctx.weights, InferGibbsOptions(ctx));
+    sampler.Run();
+    if (sampler.assignment() != end.assignment) {
+      return "infer: Gibbs chains end in different states";
+    }
+    for (int32_t v : ctx.graph.query_vars()) {
+      if (sampler.ConditionalScores(v) !=
+          end.conditionals[static_cast<size_t>(v)]) {
+        return "infer: conditional scores of variable " + std::to_string(v) +
+               " differ";
+      }
+    }
   }
   std::vector<Repair> repairs;
   std::vector<CellPosterior> posteriors;

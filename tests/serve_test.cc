@@ -1211,6 +1211,43 @@ TEST(ServeClient, RetryHonorsOverallDeadline) {
   server.Stop();
 }
 
+TEST(ServeServer, StatusForBusyTenantDoesNotStallOtherTenants) {
+  // A status request for a tenant whose slot is busy waits for that slot;
+  // it must not hold the server-wide slot table meanwhile, or every other
+  // tenant's request would queue behind the busy one.
+  CleaningServer server(FastServerOptions());
+  Payload payload = MakePayload(0);
+  ASSERT_TRUE(server.Handle(RegisterFrame("a", "food", payload)).GetBool("ok"));
+  ASSERT_TRUE(server.Handle(RegisterFrame("b", "food", payload)).GetBool("ok"));
+  ASSERT_TRUE(server.Handle(CleanFrame("b", "food")).GetBool("ok"));
+
+  // Tenant a's next job stalls for 800 ms while holding a's slot.
+  ScopedFailpoints guard("engine.job.run=on:1/delay:800");
+  std::atomic<int> finished{0};
+  int a_rank = 0;
+  std::thread busy([&] {
+    EXPECT_TRUE(server.Handle(CleanFrame("a", "food")).GetBool("ok"));
+    a_rank = ++finished;
+  });
+  while (Failpoints::Global().stats("engine.job.run").hits == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread status([&] {
+    Request req;
+    req.op = Op::kExplainStatus;
+    req.tenant = "a";
+    req.dataset = "food";
+    EXPECT_TRUE(server.Handle(req.ToJson()).GetBool("ok"));
+  });
+  // Let the status request reach a's slot before b's clean arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(server.Handle(CleanFrame("b", "food")).GetBool("ok"));
+  const int b_rank = ++finished;
+  busy.join();
+  status.join();
+  EXPECT_LT(b_rank, a_rank) << "b's warm clean waited for a's busy slot";
+}
+
 TEST(ServeServer, ExplainStatusReportsServerCountersGlobally) {
   CleaningServer server(FastServerOptions());
   // Provoke one counted error.

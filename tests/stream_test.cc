@@ -1,7 +1,7 @@
 // Tests for streaming ingestion (src/holoclean/stream): differential
 // equivalence of batched appends against cleaning the final table from
-// scratch (bit-identical violations, domains, and repairs across batch
-// sizes, thread counts, and seeds), append-after-restore (eager and lazy),
+// scratch (bit-identical violations, noisy cells, domains, and repairs
+// across batch sizes, thread counts, and seeds), append-after-restore (eager and lazy),
 // failpoint-injected faults leaving the session cleanly recoverable, the
 // append_rows wire op on a warm served session, and the rollback
 // primitive underneath (Table::Truncate).
@@ -64,9 +64,10 @@ SplitData MakeSplit(size_t total_rows, size_t base_rows, uint64_t seed) {
   return split;
 }
 
-/// The three artifacts the differential asserts on.
+/// The artifacts the differential asserts on.
 struct Artifacts {
-  std::vector<Violation> violations;
+  ViolationSet violations;
+  std::vector<CellRef> noisy;
   std::unordered_map<CellRef, std::vector<ValueId>, CellRefHash> domains;
   std::vector<Repair> repairs;
 };
@@ -74,23 +75,17 @@ struct Artifacts {
 Artifacts Capture(const Session& session, const Report& report) {
   Artifacts out;
   out.violations = session.context().violations;
+  out.noisy = session.context().noisy.cells();
   out.domains = session.context().domains.candidates;
   out.repairs = report.repairs;
   return out;
 }
 
-void ExpectViolationsEqual(const std::vector<Violation>& a,
-                           const std::vector<Violation>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].dc_index, b[i].dc_index) << "violation " << i;
-    EXPECT_EQ(a[i].t1, b[i].t1) << "violation " << i;
-    EXPECT_EQ(a[i].t2, b[i].t2) << "violation " << i;
-    ASSERT_EQ(a[i].cells.size(), b[i].cells.size()) << "violation " << i;
-    for (size_t c = 0; c < a[i].cells.size(); ++c) {
-      EXPECT_TRUE(a[i].cells[c] == b[i].cells[c]) << "violation " << i;
-    }
-  }
+/// The violation sets and the noisy cells, in order.
+void ExpectDetectEqual(const Artifacts& a, const Artifacts& b) {
+  EXPECT_TRUE(a.violations == b.violations);
+  EXPECT_EQ(a.violations.size(), b.violations.size());
+  EXPECT_EQ(a.noisy, b.noisy);
 }
 
 void ExpectRepairsBitIdentical(const std::vector<Repair>& a,
@@ -175,7 +170,7 @@ TEST(Stream, ExactModeIsBitIdenticalAcrossBatchSizes) {
   for (size_t batch_rows : {size_t{1}, size_t{16}, size_t{64}}) {
     SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
     StreamOutcome streamed = RunStreamed(config, split, batch_rows);
-    ExpectViolationsEqual(scratch.violations, streamed.artifacts.violations);
+    ExpectDetectEqual(scratch, streamed.artifacts);
     EXPECT_EQ(scratch.domains, streamed.artifacts.domains);
     ExpectRepairsBitIdentical(scratch.repairs, streamed.artifacts.repairs);
     EXPECT_EQ(streamed.stats.appended_rows, split.tail.size());
@@ -193,8 +188,7 @@ TEST(Stream, ExactModeIsBitIdenticalAcrossThreadCountsAndSeeds) {
       config.num_threads = threads;
       Artifacts scratch = RunScratch(config, split);
       StreamOutcome streamed = RunStreamed(config, split, 16);
-      ExpectViolationsEqual(scratch.violations,
-                            streamed.artifacts.violations);
+      ExpectDetectEqual(scratch, streamed.artifacts);
       EXPECT_EQ(scratch.domains, streamed.artifacts.domains);
       ExpectRepairsBitIdentical(scratch.repairs, streamed.artifacts.repairs);
     }
@@ -216,7 +210,7 @@ TEST(Stream, AppendOnNeverRunSessionFallsBackToFullRun) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(stream.stats().last_batch.full_run);
   Artifacts streamed = Capture(session.value(), report.value());
-  ExpectViolationsEqual(scratch.violations, streamed.violations);
+  ExpectDetectEqual(scratch, streamed);
   EXPECT_EQ(scratch.domains, streamed.domains);
   ExpectRepairsBitIdentical(scratch.repairs, streamed.repairs);
 }
@@ -257,7 +251,7 @@ TEST(Stream, AppendAfterSnapshotRestoreMatchesScratch) {
     auto report = stream.AppendRows(split.tail);
     ASSERT_TRUE(report.ok()) << report.status();
     Artifacts streamed = Capture(restored.value(), report.value());
-    ExpectViolationsEqual(scratch.violations, streamed.violations);
+    ExpectDetectEqual(scratch, streamed);
     EXPECT_EQ(scratch.domains, streamed.domains);
     ExpectRepairsBitIdentical(scratch.repairs, streamed.repairs);
   }
@@ -306,7 +300,7 @@ TEST(Stream, InjectedFaultsRollBackAndStayRecoverable) {
     auto report = stream.AppendRows(split.tail);
     ASSERT_TRUE(report.ok()) << report.status();
     Artifacts streamed = Capture(session.value(), report.value());
-    ExpectViolationsEqual(scratch.violations, streamed.violations);
+    ExpectDetectEqual(scratch, streamed);
     ExpectRepairsBitIdentical(scratch.repairs, streamed.repairs);
   }
 }
