@@ -253,8 +253,10 @@ class LearnStage : public PipelineStage {
 };
 
 /// Phase 3b — inference: exact marginals for the relaxed (factor-free)
-/// model, Gibbs sampling otherwise. The sampler runs one independent chain
-/// per factor-graph component, concurrently on the pool.
+/// model, Gibbs sampling otherwise. The sampler runs one chain per
+/// factor-graph component: a chain whose sweep holds at least 2^16 factor
+/// slots spreads each sweep over the pool (a variable samples after its
+/// earlier-ordered neighbours), the rest run whole, one per worker.
 class InferStage : public PipelineStage {
  public:
   StageId id() const override { return StageId::kInfer; }

@@ -1,14 +1,24 @@
 #include "holoclean/infer/gibbs.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "holoclean/infer/learner.h"
 #include "holoclean/util/hash.h"
 #include "holoclean/util/union_find.h"
 
 namespace holoclean {
+
+namespace {
+
+/// Busy polls of an earlier neighbour's done slot before each yield.
+constexpr int kSpinsBeforeYield = 64;
+
+}  // namespace
 
 GibbsSampler::GibbsSampler(const FactorGraph* graph,
                            const CompiledGraph& compiled, const Table* table,
@@ -125,17 +135,12 @@ std::vector<double> GibbsSampler::ConditionalScores(int var_id) {
   return scratch.scores;
 }
 
-void GibbsSampler::SampleVariable(int var_id, Rng* rng,
-                                  ChainScratch* scratch) {
-  if (graph_->variable(var_id).NumCandidates() == 1) {
-    assignment_[static_cast<size_t>(var_id)] = 0;
-    return;
-  }
+void GibbsSampler::Resample(int var_id, double u, ChainScratch* scratch) {
   ScoreCandidates(var_id, scratch);
   auto& scores = scratch->scores;
   SoftmaxInPlace(&scores);  // `scores` now holds the probabilities.
   assignment_[static_cast<size_t>(var_id)] =
-      static_cast<int>(rng->Categorical(scores));
+      static_cast<int>(Rng::CategoricalFromUniform(u, scores));
 }
 
 std::vector<std::vector<int32_t>> GibbsSampler::QueryComponents() const {
@@ -162,21 +167,130 @@ std::vector<std::vector<int32_t>> GibbsSampler::QueryComponents() const {
   return components;
 }
 
-void GibbsSampler::RunComponent(
-    const std::vector<int32_t>& component,
-    std::vector<std::vector<uint32_t>>* counts) {
+size_t GibbsSampler::SweepSlots(const std::vector<int32_t>& component) const {
+  size_t slots = 0;
+  for (int32_t v : component) {
+    if (compiled_.NumCandidates(v) < 2) continue;
+    slots += 1 + static_cast<size_t>(compiled_.FovEnd(v) -
+                                     compiled_.FovBegin(v));
+  }
+  return slots;
+}
+
+void GibbsSampler::BuildSpreadSchedule(const std::vector<int32_t>& component,
+                                       SpreadSchedule* spread) const {
+  spread->rank_of.assign(graph_->num_variables(), -1);
+  std::vector<int32_t> members;
+  for (int32_t v : component) {
+    if (compiled_.NumCandidates(v) < 2) continue;
+    spread->rank_of[static_cast<size_t>(v)] =
+        static_cast<int32_t>(members.size());
+    members.push_back(v);
+  }
+  spread->neighbours.assign(members.size(), {});
+  const std::vector<int32_t>& fov = compiled_.fov();
+  const std::vector<int32_t>& factor_vars = compiled_.factor_vars();
+  options_.pool->ParallelFor(members.size(), [&](size_t rank) {
+    int32_t var_id = members[rank];
+    std::vector<int32_t>& list = spread->neighbours[rank];
+    for (int32_t fi = compiled_.FovBegin(var_id);
+         fi < compiled_.FovEnd(var_id); ++fi) {
+      int fid = fov[static_cast<size_t>(fi)];
+      for (int32_t i = compiled_.FactorVarBegin(fid);
+           i < compiled_.FactorVarEnd(fid); ++i) {
+        int32_t other = factor_vars[static_cast<size_t>(i)];
+        int32_t other_rank = spread->rank_of[static_cast<size_t>(other)];
+        if (other != var_id && other_rank >= 0) list.push_back(other_rank);
+      }
+    }
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    list.shrink_to_fit();
+  });
+  spread->position.assign(members.size(), 0);
+  // Sweeps are numbered from 1, so a zeroed slot means "not yet sampled".
+  spread->done = std::vector<std::atomic<int64_t>>(members.size());
+  for (auto& slot : spread->done) slot.store(0, std::memory_order_relaxed);
+  spread->scratch.resize(options_.pool->num_threads());
+}
+
+void GibbsSampler::SpreadSweep(const std::vector<int32_t>& sampled,
+                               const std::vector<double>& uniforms,
+                               int64_t sweep, SpreadSchedule* spread) {
+  for (size_t p = 0; p < sampled.size(); ++p) {
+    spread->position[static_cast<size_t>(
+        spread->rank_of[static_cast<size_t>(sampled[p])])] = p;
+  }
+  // Workers claim positions in sweep order. A variable samples once every
+  // neighbour at an earlier position has stored this sweep's number; a
+  // later neighbour waits for this variable in turn, so nobody writes a
+  // value before every reader that precedes it in the sweep has read it.
+  // Each wait is on an earlier claimed position, so the earliest unfinished
+  // position always makes progress: the calling thread can finish the
+  // sweep alone when helper tasks start late or never.
+  std::atomic<size_t> next{0};
+  auto work = [&](ChainScratch* scratch) {
+    for (size_t p = next.fetch_add(1, std::memory_order_relaxed);
+         p < sampled.size();
+         p = next.fetch_add(1, std::memory_order_relaxed)) {
+      int32_t var_id = sampled[p];
+      size_t rank =
+          static_cast<size_t>(spread->rank_of[static_cast<size_t>(var_id)]);
+      for (int32_t other : spread->neighbours[rank]) {
+        size_t o = static_cast<size_t>(other);
+        if (spread->position[o] > p) continue;
+        for (int spins = 0;
+             spread->done[o].load(std::memory_order_acquire) != sweep;
+             ++spins) {
+          if (spins >= kSpinsBeforeYield) std::this_thread::yield();
+        }
+      }
+      Resample(var_id, uniforms[p], scratch);
+      spread->done[rank].store(sweep, std::memory_order_release);
+    }
+  };
+  TaskGroup group(options_.pool);
+  for (size_t w = 1; w < spread->scratch.size(); ++w) {
+    group.Submit([&work, spread, w] { work(&spread->scratch[w]); });
+  }
+  work(&spread->scratch[0]);
+  group.Wait();
+}
+
+void GibbsSampler::RunChain(const std::vector<int32_t>& component,
+                            SpreadSchedule* spread,
+                            std::vector<std::vector<uint32_t>>* counts) {
   // Seeded by the component's smallest variable id: deterministic for any
   // thread count or component ordering.
   Rng rng(options_.seed ^ Mix64(static_cast<uint64_t>(component[0]) + 1));
   std::vector<int32_t> order(component);
+  // A sweep's random stream is its shuffle, then one Uniform() per sampled
+  // variable in sweep order: Rng::Categorical draws exactly one for a
+  // softmax, whose total is positive or NaN. So the whole stream is drawn
+  // before any variable samples. Single-candidate variables are constants:
+  // they draw nothing and keep assignment 0.
+  std::vector<int32_t> sampled;
+  std::vector<double> uniforms;
   ChainScratch scratch;
-  int total_sweeps = options_.burn_in + options_.samples;
-  for (int sweep = 0; sweep < total_sweeps; ++sweep) {
+  const int64_t total_sweeps =
+      static_cast<int64_t>(options_.burn_in) + options_.samples;
+  for (int64_t sweep = 1; sweep <= total_sweeps; ++sweep) {
     rng.Shuffle(&order);
+    sampled.clear();
+    uniforms.clear();
     for (int32_t var_id : order) {
-      SampleVariable(var_id, &rng, &scratch);
+      if (compiled_.NumCandidates(var_id) < 2) continue;
+      sampled.push_back(var_id);
+      uniforms.push_back(rng.Uniform());
     }
-    if (sweep >= options_.burn_in) {
+    if (spread != nullptr) {
+      SpreadSweep(sampled, uniforms, sweep, spread);
+    } else {
+      for (size_t p = 0; p < sampled.size(); ++p) {
+        Resample(sampled[p], uniforms[p], &scratch);
+      }
+    }
+    if (sweep > options_.burn_in) {
       for (int32_t var_id : order) {
         ++(*counts)[static_cast<size_t>(var_id)][static_cast<size_t>(
             assignment_[static_cast<size_t>(var_id)])];
@@ -192,17 +306,43 @@ Marginals GibbsSampler::Run() {
                      0);
   }
 
-  // Independent chains per factor-graph component; components share no
-  // variables, so their chains may run concurrently.
+  // One chain per factor-graph component; components share no variables,
+  // so chains may run concurrently. A chain with a large sweep spreads each
+  // sweep over the pool, one such chain at a time. The rest run whole, one
+  // per worker, claimed largest first so the longest starts earliest.
   std::vector<std::vector<int32_t>> components = QueryComponents();
-  if (options_.pool != nullptr && components.size() > 1) {
-    options_.pool->ParallelFor(components.size(), [&](size_t c) {
-      RunComponent(components[c], &counts);
-    });
-  } else {
-    for (const auto& component : components) {
-      RunComponent(component, &counts);
+  ThreadPool* pool = options_.pool;
+  const bool can_spread = pool != nullptr && pool->num_threads() > 1;
+  std::vector<std::pair<size_t, size_t>> whole;  // (sweep slots, component)
+  for (size_t c = 0; c < components.size(); ++c) {
+    size_t slots = SweepSlots(components[c]);
+    if (can_spread && slots >= kSpreadMinSlots) {
+      SpreadSchedule spread;
+      BuildSpreadSchedule(components[c], &spread);
+      RunChain(components[c], &spread, &counts);
+    } else {
+      whole.emplace_back(slots, c);
     }
+  }
+  std::stable_sort(whole.begin(), whole.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  std::atomic<size_t> next{0};
+  auto work = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < whole.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      RunChain(components[whole[i].second], nullptr, &counts);
+    }
+  };
+  if (pool != nullptr && whole.size() > 1) {
+    TaskGroup group(pool);
+    size_t helpers = std::min(pool->num_threads(), whole.size()) - 1;
+    for (size_t w = 0; w < helpers; ++w) group.Submit(work);
+    work();
+    group.Wait();
+  } else {
+    work();
   }
 
   Marginals out(graph_->num_variables());

@@ -3,7 +3,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "holoclean/util/failpoint.h"
 
@@ -74,6 +77,9 @@ namespace {
 
 constexpr char kTimeoutPrefix[] = "timeout:";
 constexpr char kIdleTimeoutPrefix[] = "timeout: idle";
+/// 2^53: the largest size_t config override accepted, above which a JSON
+/// number (a double) no longer holds every integer exactly.
+constexpr double kMaxExactInteger = 9007199254740992.0;
 
 Status IdleTimeout() {
   return Status::Internal(
@@ -212,19 +218,30 @@ Status ApplyConfigOverrides(const JsonValue& overrides,
       *out = value.AsDouble();
       return Status::OK();
     };
-    auto count = [&](size_t* out) -> Status {
-      if (!value.is_number() || value.AsDouble() < 0) {
-        return Status::InvalidArgument("config." + key +
-                                       " must be a non-negative number");
+    // A whole number in [0, max]. Checked on the double, before any cast:
+    // casting 2.5 truncates, a negative wraps a size_t, and a value out of
+    // int64 range is undefined behaviour.
+    auto whole = [&](double max, double* out) -> Status {
+      double d = value.AsDouble();
+      if (!value.is_number() || !(d >= 0) || d != std::floor(d) || d > max) {
+        return Status::InvalidArgument(
+            "config." + key + " must be an integer in [0, " +
+            std::to_string(static_cast<uint64_t>(max)) + "]");
       }
-      *out = static_cast<size_t>(value.AsInt());
+      *out = d;
+      return Status::OK();
+    };
+    auto count = [&](size_t* out) -> Status {
+      double d = 0;
+      HOLO_RETURN_NOT_OK(whole(kMaxExactInteger, &d));
+      *out = static_cast<size_t>(d);
       return Status::OK();
     };
     auto integer = [&](int* out) -> Status {
-      if (!value.is_number()) {
-        return Status::InvalidArgument("config." + key + " must be a number");
-      }
-      *out = static_cast<int>(value.AsInt());
+      double d = 0;
+      HOLO_RETURN_NOT_OK(
+          whole(static_cast<double>(std::numeric_limits<int>::max()), &d));
+      *out = static_cast<int>(d);
       return Status::OK();
     };
     auto boolean = [&](bool* out) -> Status {

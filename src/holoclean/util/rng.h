@@ -58,11 +58,23 @@ class Rng {
 
   /// Samples an index proportionally to non-negative `weights`.
   /// Falls back to uniform when all weights are zero. Requires non-empty.
+  /// A positive (or NaN) total draws exactly one Uniform(), the value
+  /// CategoricalFromUniform then maps to an index.
   size_t Categorical(const std::vector<double>& weights) {
     double total = 0.0;
     for (double w : weights) total += w;
     if (total <= 0.0) return Below(weights.size());
-    double r = Uniform() * total;
+    return CategoricalFromUniform(Uniform(), weights);
+  }
+
+  /// The index Categorical(weights) picks when its draw is `u` in [0, 1):
+  /// the first whose running weight sum exceeds u × total, else the last.
+  /// Lets a caller draw its uniforms ahead of the weights they apply to.
+  static size_t CategoricalFromUniform(double u,
+                                       const std::vector<double>& weights) {
+    double total = 0.0;
+    for (double w : weights) total += w;
+    double r = u * total;
     double acc = 0.0;
     for (size_t i = 0; i < weights.size(); ++i) {
       acc += weights[i];

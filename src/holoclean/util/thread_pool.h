@@ -14,8 +14,8 @@
 namespace holoclean {
 
 /// A fixed-size worker pool for data-parallel sections (grounding,
-/// violation detection, per-component Gibbs sweeps — the DimmWitted-style
-/// parallelism the paper's inference engine relies on).
+/// violation detection, Gibbs chains and the sweeps of a large chain — the
+/// DimmWitted-style parallelism the paper's inference engine relies on).
 ///
 /// The pool is shareable: one pool (typically owned by an Engine) can serve
 /// many sessions at once. Concurrent callers' sections interleave on the

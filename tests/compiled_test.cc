@@ -10,9 +10,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 
 #include "holoclean/constraints/parser.h"
 #include "holoclean/core/engine.h"
@@ -24,6 +27,7 @@
 #include "holoclean/io/session_snapshot.h"
 #include "holoclean/model/compiled_graph.h"
 #include "holoclean/util/rng.h"
+#include "holoclean/util/union_find.h"
 #include "oracle/oracle.h"
 
 #include "session_helpers.h"
@@ -290,6 +294,72 @@ TEST(CompiledKernel, BitIdenticalForAnyThreadCount) {
     ASSERT_TRUE(run.session.has_value());
     EXPECT_EQ(oracle::DiffPipeline(run.session->context()), "")
         << threads << " threads";
+  }
+}
+
+/// The most factor slots (sampled variables plus their factor adjacency
+/// entries) any one component's sweep holds, recounted from the graph.
+size_t LargestSweepSlots(const FactorGraph& graph,
+                         const CompiledGraph& compiled) {
+  UnionFind uf(graph.num_variables());
+  for (const DcFactor& factor : graph.dc_factors()) {
+    for (size_t i = 1; i < factor.var_ids.size(); ++i) {
+      uf.Union(static_cast<size_t>(factor.var_ids[0]),
+               static_cast<size_t>(factor.var_ids[i]));
+    }
+  }
+  std::unordered_map<size_t, size_t> slots;
+  size_t largest = 0;
+  for (int32_t v : graph.query_vars()) {
+    if (compiled.NumCandidates(v) < 2) continue;
+    size_t& s = slots[uf.Find(static_cast<size_t>(v))];
+    s += 1 + static_cast<size_t>(compiled.FovEnd(v) - compiled.FovBegin(v));
+    largest = std::max(largest, s);
+  }
+  return largest;
+}
+
+GeneratedData SpreadFood() { return MakeFood({1500, 0.06, 5}); }
+
+TEST(CompiledKernel, SpreadSweepsBitIdenticalToReference) {
+  // A component this large spreads its sweeps over the pool; the oracle
+  // runs every chain sequentially, so any ordering slip shows as a diff.
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
+    RunInstance run(KernelConfig(4096, threads), SpreadFood());
+    ASSERT_TRUE(run.session.has_value());
+    const PipelineContext& ctx = run.session->context();
+    ASSERT_NE(ctx.compiled, nullptr);
+    EXPECT_GE(LargestSweepSlots(ctx.graph, *ctx.compiled),
+              GibbsSampler::kSpreadMinSlots);
+    EXPECT_EQ(oracle::DiffPipeline(ctx), "") << threads << " threads";
+  }
+
+  // Two jobs at once on a shared 4-worker pool: each spread sweep runs
+  // nested on a pool worker, its helpers queued behind the other job's.
+  EngineOptions engine_options;
+  engine_options.num_threads = 4;
+  Engine engine(engine_options);
+  std::vector<std::future<Result<Report>>> jobs;
+  for (const char* key : {"spread-a", "spread-b"}) {
+    auto data = std::make_shared<GeneratedData>(SpreadFood());
+    SessionOptions options;
+    options.config = FactorConfig();
+    options.cache_key = key;
+    jobs.push_back(engine.Submit(
+        CleaningInputs::Owned(
+            std::shared_ptr<Dataset>(data, &data->dataset),
+            std::shared_ptr<const std::vector<DenialConstraint>>(data,
+                                                                 &data->dcs)),
+        options));
+  }
+  for (auto& job : jobs) {
+    Result<Report> report = job.get();
+    ASSERT_TRUE(report.ok()) << report.status();
+  }
+  for (const char* key : {"spread-a", "spread-b"}) {
+    std::optional<Session> session = engine.TakeCachedSession(key);
+    ASSERT_TRUE(session.has_value()) << key;
+    EXPECT_EQ(oracle::DiffPipeline(session->context()), "") << key;
   }
 }
 

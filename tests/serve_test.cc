@@ -14,8 +14,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -240,6 +243,51 @@ TEST(ServeProtocol, ConfigOverridesApplyAndRejectUnknownKeys) {
     EXPECT_EQ(serve::ApplyConfigOverrides(old_knob, &config).code(),
               StatusCode::kInvalidArgument)
         << removed;
+  }
+}
+
+TEST(ServeProtocol, IntegerConfigOverridesRejectWhatTheyCannotStore) {
+  // Each key's field accepts whole numbers in [0, max]; anything else used
+  // to be cast (2.5 -> 2, 3e9 -> -1294967296, 1e300 undefined).
+  struct Key {
+    const char* name;
+    double max;  // INT_MAX for int fields, 2^53 for size_t ones.
+    std::function<double(const HoloCleanConfig&)> read;
+  };
+  const double int_max = std::numeric_limits<int>::max();
+  const double exact_max = 9007199254740992.0;
+  const std::vector<Key> keys = {
+      {"epochs", int_max, [](const auto& c) { return c.epochs; }},
+      {"gibbs_burn_in", int_max, [](const auto& c) { return c.gibbs_burn_in; }},
+      {"gibbs_samples", int_max, [](const auto& c) { return c.gibbs_samples; }},
+      {"max_candidates", exact_max,
+       [](const auto& c) { return static_cast<double>(c.max_candidates); }},
+      {"max_training_cells", exact_max,
+       [](const auto& c) { return static_cast<double>(c.max_training_cells); }},
+  };
+  for (const Key& key : keys) {
+    for (double value : {-3.0, 2.5, 3e9, 1e300, key.max + 2.0}) {
+      HoloCleanConfig config;
+      JsonValue overrides = JsonValue::Object();
+      overrides.Set(key.name, JsonValue::Number(value));
+      Status st = serve::ApplyConfigOverrides(overrides, &config);
+      if (value <= key.max && value >= 0 && value == std::floor(value)) {
+        EXPECT_TRUE(st.ok()) << key.name << " = " << value << ": " << st;
+        EXPECT_EQ(key.read(config), value) << key.name;
+      } else {
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+            << key.name << " = " << value;
+        EXPECT_EQ(key.read(config), key.read(HoloCleanConfig())) << key.name;
+      }
+    }
+    for (double value : {0.0, key.max}) {
+      HoloCleanConfig config;
+      JsonValue overrides = JsonValue::Object();
+      overrides.Set(key.name, JsonValue::Number(value));
+      EXPECT_TRUE(serve::ApplyConfigOverrides(overrides, &config).ok())
+          << key.name << " = " << value;
+      EXPECT_EQ(key.read(config), value) << key.name;
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "holoclean/util/csv.h"
 #include "holoclean/util/hash.h"
@@ -174,6 +176,28 @@ TEST(Rng, CategoricalRespectsWeights) {
   for (int i = 0; i < 10000; ++i) ++counts[rng.Categorical(weights)];
   EXPECT_EQ(counts[1], 0);
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.35);
+}
+
+TEST(Rng, CategoricalFromUniformMatchesAnInlineDraw) {
+  // A sampler that draws its uniforms ahead of the weights must pick what
+  // Categorical picks and leave the generator in the same state.
+  Rng inline_rng(17);
+  Rng predrawn_rng(17);
+  Rng weight_rng(19);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<double> weights(1 + weight_rng.Below(8));
+    for (double& w : weights) w = weight_rng.Uniform() + 1e-9;
+    if (trial % 100 == 7) weights[weight_rng.Below(weights.size())] = nan;
+    size_t want = inline_rng.Categorical(weights);
+    size_t got =
+        Rng::CategoricalFromUniform(predrawn_rng.Uniform(), weights);
+    ASSERT_EQ(got, want) << "trial " << trial;
+    ASSERT_LT(got, weights.size());
+  }
+  // A NaN total picks the last index, like an inline draw.
+  EXPECT_EQ(Rng::CategoricalFromUniform(0.5, {0.2, nan, 0.3}), 2u);
+  EXPECT_EQ(inline_rng.Next(), predrawn_rng.Next());
 }
 
 TEST(Rng, ShuffleIsPermutation) {
