@@ -10,6 +10,7 @@ PrunedDomains PruneDomainsColumnar(const Table& table,
                                    const CooccurrenceStats& cooc,
                                    const DomainPruningOptions& options,
                                    ThreadPool* pool) {
+  const ColumnStore& store = table.store();
   std::vector<std::vector<ValueId>> per_cell(cells.size());
   auto prune_cell = [&](size_t i) {
     const CellRef& cell = cells[i];
@@ -20,17 +21,20 @@ PrunedDomains PruneDomainsColumnar(const Table& table,
     bool has_context = false;
     for (AttrId a_ctx : attrs) {
       if (a_ctx == cell.attr) continue;
-      ValueId v_ctx = table.Get(cell.tid, a_ctx);
-      if (v_ctx == Dictionary::kNull) continue;
-      int ctx_count = cooc.Count(a_ctx, v_ctx);
-      if (ctx_count == 0) continue;
+      const Code code = store.column(static_cast<size_t>(a_ctx))
+                            .codes[static_cast<size_t>(cell.tid)];
+      int ctx_count = cooc.CountOfCode(a_ctx, code);
+      if (ctx_count == 0) continue;  // NULL, or no statistics for a_ctx.
       has_context = true;
-      double bar = options.tau * static_cast<double>(ctx_count);
+      // The run is in count-descending order, so the entries passing the
+      // test are a prefix: stop at the first that fails. `!(count >= bar)`
+      // is the negation of the test itself, so a NaN τ (which passes no
+      // entry) stops at once, like the full scan it replaces.
+      const double bar = options.tau * static_cast<double>(ctx_count);
       for (const auto& [v, pair_count] :
-           cooc.CooccurringValues(cell.attr, a_ctx, v_ctx)) {
-        if (static_cast<double>(pair_count) >= bar) {
-          hits.emplace_back(v, pair_count);
-        }
+           cooc.RunByCount(cell.attr, a_ctx, code)) {
+        if (!(static_cast<double>(pair_count) >= bar)) break;
+        hits.emplace_back(v, pair_count);
       }
     }
     // Fall back to the attribute's most frequent values only when the tuple

@@ -43,9 +43,19 @@ struct DomainPruningOptions {
 /// Algorithm 2 of the paper: candidate repairs for every cell in `cells`
 /// are the values of the cell's attribute that co-occur with the tuple's
 /// other cell values with conditional probability >= τ. The observed value
-/// is always a candidate. Cells fan out across the pool, and per-cell
-/// scoring runs on flat (value, count) runs — sort + keep-max-per-value —
-/// instead of a hash map per cell (the per-cell hash-map version is the
+/// is always a candidate. Cells fan out across the pool.
+///
+/// Each context cell's code indexes `cooc` directly (`cooc` must have been
+/// built from `table`, unchanged since), and its count-ordered run is read
+/// only up to the first entry with pair count below τ·#v'. The result is
+/// exactly the full scan's: the early exit applies the full scan's test,
+/// `pair_count >= τ·#v'`, so for any τ — τ <= 0 (every entry passes), τ > 1
+/// (none do) and NaN (none do) included — the entries it keeps are a
+/// prefix of the run in count-descending order and the multiset of hits is
+/// the same. Since a run's counts sum to at most #v', at most ⌊1/τ⌋ entries
+/// pass, so pruning reads what passes plus one entry per context instead
+/// of whole runs. Per-cell scoring then sorts the hits and keeps the best
+/// count per value (the per-cell hash-map scan of whole runs is the
 /// reference in tests/oracle/).
 PrunedDomains PruneDomainsColumnar(const Table& table,
                                    const std::vector<CellRef>& cells,

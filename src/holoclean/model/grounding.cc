@@ -205,16 +205,16 @@ Result<Variable> Grounder::BuildVariable(const CellRef& cell,
       opt_.dc_mode == DcMode::kFeatures || opt_.dc_mode == DcMode::kBoth;
 
   // The tuple's context is resolved once per cell — the context value, its
-  // count, and the co-occurrence run for this attribute pair — so the
-  // per-candidate loop binary-searches an id-sorted run instead of hashing
-  // into the statistics per candidate. Each conditional probability is
-  // exactly CooccurrenceStats::CondProb: the same numerator and
-  // denominator.
+  // count, and the co-occurrence run for this attribute pair, both indexed
+  // by the context cell's code — so the per-candidate loop binary-searches
+  // an id-sorted run instead of hashing into the statistics per candidate.
+  // Each conditional probability is exactly CooccurrenceStats::CondProb:
+  // the same numerator and denominator.
   struct CtxRun {
     AttrId a_ctx;
     ValueId v_ctx;
     int ctx_count;
-    const std::vector<std::pair<ValueId, int>>* run;
+    CooccurrenceStats::Run run;
   };
   std::vector<CtxRun> contexts;
   contexts.reserve(in_.attrs->size());
@@ -222,10 +222,13 @@ Result<Variable> Grounder::BuildVariable(const CellRef& cell,
     if (a_ctx == cell.attr) continue;
     ValueId v_ctx = table.Get(cell.tid, a_ctx);
     if (v_ctx == Dictionary::kNull) continue;
-    CtxRun ctx{a_ctx, v_ctx, 0, nullptr};
+    CtxRun ctx{a_ctx, v_ctx, 0, {}};
     if (in_.cooc != nullptr) {
-      ctx.ctx_count = in_.cooc->Count(a_ctx, v_ctx);
-      ctx.run = &in_.cooc->CooccurringValues(cell.attr, a_ctx, v_ctx);
+      const Code code = table.store()
+                            .column(static_cast<size_t>(a_ctx))
+                            .codes[static_cast<size_t>(cell.tid)];
+      ctx.ctx_count = in_.cooc->CountOfCode(a_ctx, code);
+      ctx.run = in_.cooc->RunByValue(cell.attr, a_ctx, code);
     }
     contexts.push_back(ctx);
   }
@@ -246,10 +249,10 @@ Result<Variable> Grounder::BuildVariable(const CellRef& cell,
                                 static_cast<uint32_t>(ctx.a_ctx),
                                 static_cast<uint32_t>(ctx.v_ctx), du),
            1.0f});
-      if (ctx.run != nullptr && ctx.ctx_count > 0) {
-        auto it = std::lower_bound(ctx.run->begin(), ctx.run->end(),
+      if (ctx.ctx_count > 0) {
+        auto it = std::lower_bound(ctx.run.begin(), ctx.run.end(),
                                    std::make_pair(d, 0));
-        if (it != ctx.run->end() && it->first == d) {
+        if (it != ctx.run.end() && it->first == d) {
           double p = static_cast<double>(it->second) /
                      static_cast<double>(ctx.ctx_count);
           var.features.push_back(

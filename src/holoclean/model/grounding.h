@@ -67,7 +67,8 @@ struct GroundingInput {
   const std::vector<CellRef>* evidence_cells = nullptr;
   /// Candidate sets covering both query and evidence cells.
   const PrunedDomains* domains = nullptr;
-  /// Co-occurrence statistics for the probability-valued features.
+  /// Co-occurrence statistics for the probability-valued features, built
+  /// from `table` and unchanged since: they are read by its cells' codes.
   const CooccurrenceStats* cooc = nullptr;
   const std::vector<MatchedEntry>* matches = nullptr;
   const ViolationSet* violations = nullptr;

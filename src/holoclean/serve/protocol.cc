@@ -77,9 +77,11 @@ namespace {
 
 constexpr char kTimeoutPrefix[] = "timeout:";
 constexpr char kIdleTimeoutPrefix[] = "timeout: idle";
-/// 2^53: the largest size_t config override accepted, above which a JSON
-/// number (a double) no longer holds every integer exactly.
+/// 2^53: the largest wire integer accepted where the field could hold more
+/// (size_t and int64 fields, the uint64 seed), above which a JSON number (a
+/// double) no longer holds every integer exactly.
 constexpr double kMaxExactInteger = 9007199254740992.0;
+constexpr double kMaxInt = std::numeric_limits<int>::max();
 
 Status IdleTimeout() {
   return Status::Internal(
@@ -89,6 +91,22 @@ Status IdleTimeout() {
 Status MidFrameTimeout(const char* what) {
   return Status::Internal(std::string("timeout: socket ") + what +
                           " timed out mid-frame");
+}
+
+/// Reads `value` as a whole number in [0, max]. Checked on the double,
+/// before any cast: casting 2.5 truncates, a negative wraps an unsigned
+/// field, and a value out of the target's range is undefined behaviour.
+/// `name` is how the error names the field.
+Status WholeNumber(const JsonValue& value, const std::string& name,
+                   double max, double* out) {
+  double d = value.AsDouble();
+  if (!value.is_number() || !(d >= 0) || d != std::floor(d) || d > max) {
+    return Status::InvalidArgument(
+        name + " must be an integer in [0, " +
+        std::to_string(static_cast<uint64_t>(max)) + "]");
+  }
+  *out = d;
+  return Status::OK();
 }
 
 }  // namespace
@@ -162,13 +180,16 @@ Result<Request> Request::FromJson(const JsonValue& json) {
     if (!cell->is_object()) {
       return Status::InvalidArgument("\"cell\" must be an object");
     }
-    req.cell_tid = cell->GetInt("tid", -1);
+    const JsonValue* tid = cell->Find("tid");
     req.cell_attr = cell->GetString("attr");
     req.cell_value = cell->GetString("value");
-    if (req.cell_tid < 0 || req.cell_attr.empty()) {
+    if (tid == nullptr || req.cell_attr.empty()) {
       return Status::InvalidArgument(
           "\"cell\" needs a non-negative tid and an attr");
     }
+    double d = 0;
+    HOLO_RETURN_NOT_OK(WholeNumber(*tid, "cell.tid", kMaxExactInteger, &d));
+    req.cell_tid = static_cast<int64_t>(d);
   }
   if (const JsonValue* rows = json.Find("rows")) {
     if (!rows->is_array()) {
@@ -195,13 +216,16 @@ Result<Request> Request::FromJson(const JsonValue& json) {
     req.config_overrides = *config;
   }
   if (const JsonValue* deadline = json.Find("deadline_ms")) {
-    if (!deadline->is_number() || deadline->AsDouble() < 0) {
-      return Status::InvalidArgument(
-          "\"deadline_ms\" must be a non-negative number");
-    }
-    req.deadline_ms = deadline->AsInt();
+    double d = 0;
+    HOLO_RETURN_NOT_OK(
+        WholeNumber(*deadline, "deadline_ms", kMaxExactInteger, &d));
+    req.deadline_ms = static_cast<int64_t>(d);
   }
-  req.attempt = static_cast<int>(json.GetInt("attempt", 0));
+  if (const JsonValue* attempt = json.Find("attempt")) {
+    double d = 0;
+    HOLO_RETURN_NOT_OK(WholeNumber(*attempt, "attempt", kMaxInt, &d));
+    req.attempt = static_cast<int>(d);
+  }
   return req;
 }
 
@@ -218,18 +242,8 @@ Status ApplyConfigOverrides(const JsonValue& overrides,
       *out = value.AsDouble();
       return Status::OK();
     };
-    // A whole number in [0, max]. Checked on the double, before any cast:
-    // casting 2.5 truncates, a negative wraps a size_t, and a value out of
-    // int64 range is undefined behaviour.
     auto whole = [&](double max, double* out) -> Status {
-      double d = value.AsDouble();
-      if (!value.is_number() || !(d >= 0) || d != std::floor(d) || d > max) {
-        return Status::InvalidArgument(
-            "config." + key + " must be an integer in [0, " +
-            std::to_string(static_cast<uint64_t>(max)) + "]");
-      }
-      *out = d;
-      return Status::OK();
+      return WholeNumber(value, "config." + key, max, out);
     };
     auto count = [&](size_t* out) -> Status {
       double d = 0;
@@ -239,8 +253,7 @@ Status ApplyConfigOverrides(const JsonValue& overrides,
     };
     auto integer = [&](int* out) -> Status {
       double d = 0;
-      HOLO_RETURN_NOT_OK(
-          whole(static_cast<double>(std::numeric_limits<int>::max()), &d));
+      HOLO_RETURN_NOT_OK(whole(kMaxInt, &d));
       *out = static_cast<int>(d);
       return Status::OK();
     };
@@ -278,10 +291,9 @@ Status ApplyConfigOverrides(const JsonValue& overrides,
     } else if (key == "gibbs_samples") {
       HOLO_RETURN_NOT_OK(integer(&config->gibbs_samples));
     } else if (key == "seed") {
-      if (!value.is_number()) {
-        return Status::InvalidArgument("config.seed must be a number");
-      }
-      config->seed = static_cast<uint64_t>(value.AsInt());
+      double d = 0;
+      HOLO_RETURN_NOT_OK(whole(kMaxExactInteger, &d));
+      config->seed = static_cast<uint64_t>(d);
     } else {
       return Status::InvalidArgument("unknown config override \"" + key +
                                      "\"");

@@ -1,7 +1,9 @@
 #ifndef HOLOCLEAN_UTIL_JSON_H_
 #define HOLOCLEAN_UTIL_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -78,8 +80,18 @@ class JsonValue {
   /// zero value (protocol code validates with the predicates above).
   bool AsBool() const { return is_bool() ? bool_ : false; }
   double AsDouble() const { return is_number() ? number_ : 0.0; }
+  /// The number truncated toward zero and saturated to the int64_t range;
+  /// NaN reads as 0, so every double has a defined result. Wire fields
+  /// validate their range on the double instead (serve/protocol).
   int64_t AsInt() const {
-    return is_number() ? static_cast<int64_t>(number_) : 0;
+    if (!is_number() || std::isnan(number_)) return 0;
+    if (number_ >= 9223372036854775808.0) {
+      return std::numeric_limits<int64_t>::max();
+    }
+    if (number_ <= -9223372036854775808.0) {
+      return std::numeric_limits<int64_t>::min();
+    }
+    return static_cast<int64_t>(number_);
   }
   const std::string& AsString() const {
     static const std::string kEmpty;

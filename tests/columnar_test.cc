@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "holoclean/data/hospital.h"
 #include "holoclean/io/binary_io.h"
 #include "holoclean/io/session_snapshot.h"
+#include "holoclean/model/domain_pruning.h"
 #include "holoclean/stats/cooccurrence.h"
 #include "holoclean/util/hash.h"
 #include "holoclean/util/rng.h"
@@ -154,6 +156,108 @@ TEST(ColumnarCooccurrence, MatchesAfterCellMutations) {
                                      oracle::CountCooccurrence(t, attrs),
                                      attrs),
             "");
+}
+
+// ---------- Domain pruning differential ----------
+
+/// One pruning configuration: a generated dataset, τ and the cap.
+struct PruneCase {
+  const char* dataset;  // "food", "hospital" or "random"
+  const char* tau_name;
+  double tau;
+  size_t max_candidates;
+};
+
+void PrintTo(const PruneCase& c, std::ostream* os) {
+  *os << c.dataset << " tau=" << c.tau_name << " cap=" << c.max_candidates;
+}
+
+std::vector<PruneCase> PruneCases() {
+  const std::vector<std::pair<const char*, double>> taus = {
+      {"m0p5", -0.5},       {"0", 0.0},          {"0p1", 0.1},
+      {"third", 1.0 / 3.0}, {"0p5", 0.5},        {"twothirds", 2.0 / 3.0},
+      {"0p9", 0.9},         {"1", 1.0},          {"1p5", 1.5},
+      {"nan", std::numeric_limits<double>::quiet_NaN()}};
+  std::vector<PruneCase> cases;
+  for (const char* dataset : {"food", "hospital", "random"}) {
+    for (const auto& [name, tau] : taus) {
+      for (size_t cap : {size_t{1}, size_t{3}, size_t{64}}) {
+        cases.push_back({dataset, name, tau, cap});
+      }
+    }
+  }
+  return cases;
+}
+
+/// The generated Food and Hospital tables hold no NULL cells; the random
+/// one holds ~10%, for NULL cells and NULL contexts.
+Table PruneTable(const std::string& dataset, std::vector<AttrId>* attrs) {
+  if (dataset == "random") {
+    *attrs = {0, 1, 2, 3};
+    return RandomTable(400, 4, 5, 12);
+  }
+  HospitalOptions hospital;
+  hospital.num_rows = 300;
+  hospital.seed = 5;
+  GeneratedData data =
+      dataset == "food" ? MakeFood({600, 0.06, 5}) : MakeHospital(hospital);
+  *attrs = data.dataset.RepairableAttrs();
+  return data.dataset.dirty().Clone();
+}
+
+class PruneDifferential : public ::testing::TestWithParam<PruneCase> {};
+
+TEST_P(PruneDifferential, EarlyExitMatchesFullScanOracle) {
+  // The production pass stops at the first count-ordered entry below
+  // τ·#v'; the oracle scans every by-value run whole. Every cell of the
+  // table is pruned, NULL ones and those with NULL context included.
+  const PruneCase& c = GetParam();
+  std::vector<AttrId> attrs;
+  const Table table = PruneTable(c.dataset, &attrs);
+  std::vector<CellRef> cells;
+  for (size_t t = 0; t < table.num_rows(); ++t) {
+    for (AttrId a : attrs) cells.push_back({static_cast<TupleId>(t), a});
+  }
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(table, attrs);
+  DomainPruningOptions options;
+  options.tau = c.tau;
+  options.max_candidates = c.max_candidates;
+  PrunedDomains expected =
+      oracle::PruneDomains(table, cells, attrs, cooc, options);
+  ASSERT_EQ(expected.candidates.size(), cells.size());
+  EXPECT_GE(expected.TotalCandidates(), cells.size());
+  EXPECT_TRUE(PruneDomainsColumnar(table, cells, attrs, cooc, options)
+                  .candidates == expected.candidates);
+  ThreadPool pool(4);
+  EXPECT_TRUE(PruneDomainsColumnar(table, cells, attrs, cooc, options, &pool)
+                  .candidates == expected.candidates);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TausAndCaps, PruneDifferential, ::testing::ValuesIn(PruneCases()),
+    [](const ::testing::TestParamInfo<PruneCase>& info) {
+      return std::string(info.param.dataset) + "_tau_" +
+             info.param.tau_name + "_cap" +
+             std::to_string(info.param.max_candidates);
+    });
+
+TEST(ColumnarPruning, PairCountEqualToTauTimesContextCountPasses) {
+  // #v' = 4 for B = c, and A = x co-occurs with it twice: at τ = 0.5 the
+  // pair count equals τ·#v' exactly, which passes (>=), while y and z
+  // (once each) do not.
+  Table t(Schema({"A", "B"}), std::make_shared<Dictionary>());
+  for (const char* a : {"x", "x", "y", "z"}) t.AppendRow({a, "c"});
+  std::vector<AttrId> attrs = {0, 1};
+  CooccurrenceStats cooc = CooccurrenceStats::BuildColumnar(t, attrs);
+  DomainPruningOptions options;
+  options.tau = 0.5;
+  PrunedDomains got = PruneDomainsColumnar(t, {{3, 0}}, attrs, cooc, options);
+  const std::vector<ValueId> expected = {t.dict().Lookup("z"),
+                                         t.dict().Lookup("x")};
+  EXPECT_EQ(got.For({3, 0}), expected);
+  EXPECT_TRUE(got.candidates ==
+              oracle::PruneDomains(t, {{3, 0}}, attrs, cooc, options)
+                  .candidates);
 }
 
 // ---------- Detection fallback / truncation differential ----------

@@ -60,6 +60,8 @@ CooccurrenceCounts CountCooccurrence(const Table& table,
       ValueId v = table.Get(tid, a);
       if (v == Dictionary::kNull) continue;
       ++counts.value_counts[{a, v}];
+      counts.codes[{a, v}] = table.store().column(static_cast<size_t>(a))
+                                 .codes[static_cast<size_t>(t)];
       domains[a].insert(v);
       for (AttrId a_ctx : attrs) {
         if (a_ctx == a) continue;
@@ -86,6 +88,15 @@ CooccurrenceCounts CountCooccurrence(const Table& table,
   return counts;
 }
 
+namespace {
+
+bool SameRun(CooccurrenceStats::Run run,
+             const std::vector<std::pair<ValueId, int>>& expected) {
+  return std::equal(run.begin(), run.end(), expected.begin(), expected.end());
+}
+
+}  // namespace
+
 std::string DiffCooccurrence(const CooccurrenceStats& stats,
                              const CooccurrenceCounts& counts,
                              const std::vector<AttrId>& attrs) {
@@ -108,6 +119,25 @@ std::string DiffCooccurrence(const CooccurrenceStats& stats,
              << " vs recount " << counts.value_counts.at({a, v});
         return diff.str();
       }
+      const Code code = counts.codes.at({a, v});
+      if (stats.CountOfCode(a, code) != stats.Count(a, v)) {
+        diff << "CountOfCode(" << a << ", " << code << ") "
+             << stats.CountOfCode(a, code) << " vs Count(" << a << ", " << v
+             << ") " << stats.Count(a, v);
+        return diff.str();
+      }
+    }
+    // NULL is never counted, and no run belongs to it.
+    if (stats.CountOfCode(a, 0) != 0) {
+      diff << "CountOfCode(" << a << ", NULL) is not 0";
+      return diff.str();
+    }
+    for (AttrId a_ctx : attrs) {
+      if (a_ctx != a && (!stats.RunByValue(a_ctx, a, 0).empty() ||
+                         !stats.RunByCount(a_ctx, a, 0).empty())) {
+        diff << "attr " << a_ctx << " has a run for NULL in attr " << a;
+        return diff.str();
+      }
     }
   }
   // Every context a consumer can ask about is an observed value, so
@@ -118,9 +148,28 @@ std::string DiffCooccurrence(const CooccurrenceStats& stats,
       for (ValueId v_ctx : counts.domains.at(a_ctx)) {
         auto it = counts.pairs.find({a, a_ctx, v_ctx});
         const auto& expected = it == counts.pairs.end() ? kNone : it->second;
-        if (stats.CooccurringValues(a, a_ctx, v_ctx) != expected) {
+        if (!SameRun(stats.CooccurringValues(a, a_ctx, v_ctx), expected)) {
           diff << "CooccurringValues(" << a << ", " << a_ctx << ", " << v_ctx
                << ") differs";
+          return diff.str();
+        }
+        // The code-addressed runs are the same list: by value, and by count
+        // descending with ties ascending by value.
+        const Code code = counts.codes.at({a_ctx, v_ctx});
+        if (!SameRun(stats.RunByValue(a, a_ctx, code), expected)) {
+          diff << "RunByValue(" << a << ", " << a_ctx << ", code " << code
+               << ") differs from CooccurringValues";
+          return diff.str();
+        }
+        std::vector<std::pair<ValueId, int>> by_count = expected;
+        std::sort(by_count.begin(), by_count.end(),
+                  [](const auto& x, const auto& y) {
+                    return x.second != y.second ? x.second > y.second
+                                                : x.first < y.first;
+                  });
+        if (!SameRun(stats.RunByCount(a, a_ctx, code), by_count)) {
+          diff << "RunByCount(" << a << ", " << a_ctx << ", code " << code
+               << ") is not the recount sorted by count";
           return diff.str();
         }
         const double ctx_count = counts.value_counts.at({a_ctx, v_ctx});

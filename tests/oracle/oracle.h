@@ -70,6 +70,8 @@ struct CooccurrenceCounts {
       pairs;
   /// Distinct non-null values per attribute id, ascending.
   std::map<AttrId, std::vector<ValueId>> domains;
+  /// (attr, value) -> the value's code in the table's column.
+  std::map<std::pair<AttrId, ValueId>, Code> codes;
   size_t num_pair_entries = 0;
 };
 
@@ -79,8 +81,11 @@ CooccurrenceCounts CountCooccurrence(const Table& table,
                                      const std::vector<AttrId>& attrs);
 
 /// Checks `stats` against the recount through its public accessors (Count,
-/// PairCount, CondProb, CooccurringValues, Domain, num_pair_entries) and
-/// describes the first difference, or returns "" when they agree.
+/// PairCount, CondProb, CooccurringValues, Domain, num_pair_entries), checks
+/// each code-addressed lookup (CountOfCode, RunByValue) against its
+/// ValueId-keyed one and each count-ordered run (RunByCount) against the
+/// recount sorted by count descending, then value ascending. Describes the
+/// first difference, or returns "" when they agree.
 std::string DiffCooccurrence(const CooccurrenceStats& stats,
                              const CooccurrenceCounts& counts,
                              const std::vector<AttrId>& attrs);

@@ -790,6 +790,75 @@ TEST(ServeProtocol, DeadlineAndAttemptFieldsRoundTrip) {
   EXPECT_FALSE(Request::FromJson(bad).ok());
 }
 
+TEST(ServeProtocol, WireIntegersRejectWhatTheyCannotStore) {
+  // deadline_ms, cell.tid and the seed knob take whole numbers in
+  // [0, 2^53], attempt in [0, INT_MAX]. They used to go through an
+  // unchecked cast: 2.5 -> 2, 3e9 -> -1294967296, 1e300 undefined.
+  struct Field {
+    const char* name;
+    double max;
+    /// Parses `value` in this field; returns the value stored.
+    std::function<Result<double>(double)> parse;
+  };
+  auto in_clean = [](const char* key, double value) {
+    JsonValue frame = CleanFrame("acme", "food");
+    frame.Set(key, JsonValue::Number(value));
+    return Request::FromJson(frame);
+  };
+  const std::vector<Field> fields = {
+      {"deadline_ms", 9007199254740992.0,
+       [&](double value) -> Result<double> {
+         HOLO_ASSIGN_OR_RETURN(req, in_clean("deadline_ms", value));
+         return static_cast<double>(req.deadline_ms);
+       }},
+      {"attempt", static_cast<double>(std::numeric_limits<int>::max()),
+       [&](double value) -> Result<double> {
+         HOLO_ASSIGN_OR_RETURN(req, in_clean("attempt", value));
+         return static_cast<double>(req.attempt);
+       }},
+      {"cell.tid", 9007199254740992.0,
+       [](double value) -> Result<double> {
+         Request feedback;
+         feedback.op = Op::kFeedback;
+         feedback.tenant = "acme";
+         feedback.dataset = "food";
+         feedback.cell_tid = 0;
+         feedback.cell_attr = "City";
+         feedback.cell_value = "Chicago";
+         JsonValue frame = feedback.ToJson();
+         JsonValue cell = *frame.Find("cell");
+         cell.Set("tid", JsonValue::Number(value));
+         frame.Set("cell", cell);
+         HOLO_ASSIGN_OR_RETURN(req, Request::FromJson(frame));
+         return static_cast<double>(req.cell_tid);
+       }},
+      {"config.seed", 9007199254740992.0,
+       [](double value) -> Result<double> {
+         HoloCleanConfig config;
+         JsonValue overrides = JsonValue::Object();
+         overrides.Set("seed", JsonValue::Number(value));
+         HOLO_RETURN_NOT_OK(serve::ApplyConfigOverrides(overrides, &config));
+         return static_cast<double>(config.seed);
+       }},
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Field& field : fields) {
+    for (double value : {-1.0, 2.5, -1e300, 1e300, 3e9, field.max + 2.0,
+                         nan, inf, 0.0, 7.0, field.max}) {
+      Result<double> stored = field.parse(value);
+      if (value >= 0 && value == std::floor(value) && value <= field.max) {
+        ASSERT_TRUE(stored.ok()) << field.name << " = " << value << ": "
+                                 << stored.status();
+        EXPECT_EQ(stored.value(), value) << field.name;
+      } else {
+        EXPECT_EQ(stored.status().code(), StatusCode::kInvalidArgument)
+            << field.name << " = " << value;
+      }
+    }
+  }
+}
+
 TEST(ServeProtocol, LegacyRequestsWithoutDeadlineRoundTripUnchanged) {
   // A protocol-1 frame that predates deadline_ms/attempt must parse to
   // the defaults and re-serialize byte-identically — old clients see no

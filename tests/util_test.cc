@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <vector>
 
 #include "holoclean/util/csv.h"
 #include "holoclean/util/hash.h"
+#include "holoclean/util/json.h"
 #include "holoclean/util/rng.h"
 #include "holoclean/util/status.h"
 #include "holoclean/util/string_util.h"
@@ -315,6 +317,33 @@ TEST(Csv, WriteParseRoundTrip) {
 TEST(Csv, MissingFileIsNotFound) {
   EXPECT_EQ(ReadCsvFile("/nonexistent/nope.csv").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(Json, AsIntSaturatesAndReadsNanAsZero) {
+  // Every double has a defined result: truncation inside the int64 range,
+  // saturation outside it (2^63 itself does not fit), NaN as 0. The values
+  // are parsed at run time, so no compiler folds the conversion away.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto parsed = JsonValue::Parse(
+      "[1e300, -1e300, 9223372036854775808, -9223372036854775808,"
+      " 9223372036854774784, 2.9, -2.9, \"7\"]");
+  ASSERT_TRUE(parsed.ok());
+  const std::vector<JsonValue>& v = parsed.value().items();
+  ASSERT_EQ(v.size(), 8u);
+  EXPECT_EQ(v[0].AsInt(), kMax);
+  EXPECT_EQ(v[1].AsInt(), kMin);
+  EXPECT_EQ(v[2].AsInt(), kMax);
+  EXPECT_EQ(v[3].AsInt(), kMin);
+  EXPECT_EQ(v[4].AsInt(), int64_t{9223372036854774784});  // Below 2^63.
+  EXPECT_EQ(v[5].AsInt(), 2);
+  EXPECT_EQ(v[6].AsInt(), -2);
+  EXPECT_EQ(v[7].AsInt(), 0);  // Not a number.
+  volatile double nan = std::numeric_limits<double>::quiet_NaN();
+  volatile double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(JsonValue::Number(nan).AsInt(), 0);
+  EXPECT_EQ(JsonValue::Number(inf).AsInt(), kMax);
+  EXPECT_EQ(JsonValue::Number(-inf).AsInt(), kMin);
 }
 
 TEST(Timer, MeasuresNonNegative) {
